@@ -15,9 +15,16 @@ Diagnostics record, per level, the sup-norm change against the previous
 iterate and a trapezoidal L2 norm taken over the level's support interval;
 the L2 sequence is non-increasing and bounded by 1 for every valid order.
 
-For shifted orders (u != 0) the finite product carries the partial-sum phase
-exp(-2 pi i u gamma (1 - 2^{-m})), which converges to the full translation
-phase exp(-2 pi i u gamma) as m grows.
+For shifted orders (u != 0) the cascade runs on the unshifted order and the
+final values are multiplied once by the exact translation phase
+exp(-2 pi i u gamma), the limit of the partial-sum phases
+exp(-2 pi i u gamma (1 - 2^{-m})) of the finite products.  The diagnostics
+therefore equal those of the unshifted order, and the phase adds no
+2^{-m} error to the result.
+
+Time samples come from the trapezoid sum over the profile grid.  When the
+frequency step times the time step is 1/P for an integer P, that sum is
+exactly one inverse FFT of length P of the weighted samples folded mod P.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResolutionError, ToleranceError, WindowError
+from .errors import GridCompatibilityError, ResolutionError, ToleranceError, WindowError
 from .symbol import PseudoSplineOrder, eval_H0, eval_p
 
 __all__ = [
@@ -216,6 +223,8 @@ def run_cascade(
     sup_tolerance, or at the level cap; either way the outcome is declared
     in the diagnostics, never silently.  A warning (not an error) is
     recorded if the sup changes fail to decrease over the last three levels.
+    A shifted order iterates its unshifted order and applies the exact
+    phase exp(-2 pi i u gamma) to the result.
     """
     if levels != int(levels) or int(levels) < 1:
         raise WindowError(f"levels must be a positive integer, got {levels!r}")
@@ -232,7 +241,7 @@ def run_cascade(
     current = prev
     level_done = 0
     for m in range(1, levels + 1):
-        prod = prod * eval_H0(order, g * 0.5**m)
+        prod = prod * eval_H0(order.unshifted, g * 0.5**m)
         current = prod.copy()
         bound = min(2.0 ** (m - 1), extent)
         current[~_support_mask(g, bound, step)] = 0.0
@@ -256,6 +265,8 @@ def run_cascade(
             )
             warnings.warn(diag.warning, RuntimeWarning, stacklevel=2)
 
+    if order.shift != 0.0:
+        current = current * np.exp(-2j * np.pi * order.shift * g)
     profile = FourierProfile(order, level_done, extent, step, current)
     return profile, diag
 
@@ -278,22 +289,55 @@ def refinement_residual(profile: FourierProfile) -> float:
     return float(np.max(np.abs(v[idx] - h * v[half_idx])))
 
 
+def _uniform_step(x: np.ndarray, name: str) -> float:
+    """Spacing of an increasing uniform grid, else GridCompatibilityError."""
+    step = float(x[1] - x[0])
+    if not step > 0.0:
+        raise GridCompatibilityError(f"{name} must be increasing, got step {step!r}")
+    dev = float(np.max(np.abs(x - (x[0] + np.arange(len(x)) * step))))
+    if dev > 1e-9 * step:
+        raise GridCompatibilityError(f"{name} must be uniformly spaced (deviation {dev:.3e})")
+    return step
+
+
 def fourier_to_time(gammas: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Inverse Fourier trapezoid sum: f(t) = sum_k w_k v_k exp(2 pi i gamma_k t) dgamma."""
+    """Inverse Fourier trapezoid sum: f(t) = sum_k w_k v_k exp(2 pi i gamma_k t) dgamma.
+
+    Both grids must be increasing and uniform, and P = 1/(dgamma dt) must be
+    an integer (within 1e-9); otherwise GridCompatibilityError.  With
+    gamma_k = gamma_0 + k dgamma and t_j = t_0 + j dt the kernel factors as
+    exp(2 pi i k dgamma t_0) exp(2 pi i gamma_0 t_j) exp(2 pi i k j / P),
+    so the sum is exactly one inverse FFT of length P of the weighted
+    samples folded mod P, read at j mod P (rows wrap when len(ts) > P).
+    Phase arguments are reduced mod 1 before scaling by 2 pi.
+    """
     gammas = np.asarray(gammas, dtype=float)
     values = np.asarray(values, dtype=complex)
     ts = np.asarray(ts, dtype=float)
-    step = float(gammas[1] - gammas[0])
+    if len(gammas) < 2 or len(values) != len(gammas):
+        raise GridCompatibilityError(
+            f"need at least 2 frequency samples with one value each, got {len(gammas)} and {len(values)}"
+        )
+    if len(ts) == 0:
+        return np.zeros(0, dtype=complex)
+    step = _uniform_step(gammas, "frequency grid")
+    # a single time sample has any spacing; 1/step makes P = 1
+    dt = _uniform_step(ts, "time grid") if len(ts) > 1 else 1.0 / step
+    ratio = 1.0 / (step * dt)
+    period = int(round(ratio))
+    if period < 1 or abs(ratio - period) > 1e-9:
+        raise GridCompatibilityError(
+            f"1/(frequency step * time step) must be an integer, got {ratio!r}"
+        )
     w = np.ones(len(gammas))
     w[0] = 0.5
     w[-1] = 0.5
-    weighted = w * values * step
-    out = np.empty(len(ts), dtype=complex)
-    chunk = 512
-    for start in range(0, len(ts), chunk):
-        block = ts[start : start + chunk]
-        out[start : start + chunk] = np.exp(2j * np.pi * np.outer(block, gammas)) @ weighted
-    return out
+    weighted = w * values * step * np.exp(2j * np.pi * np.mod((gammas - gammas[0]) * ts[0], 1.0))
+    folded = np.zeros(-(-len(gammas) // period) * period, dtype=complex)
+    folded[: len(gammas)] = weighted
+    spectrum = np.fft.ifft(folded.reshape(-1, period).sum(axis=0)) * period
+    rows = spectrum[np.arange(len(ts)) % period]
+    return rows * np.exp(2j * np.pi * np.mod(gammas[0] * ts, 1.0))
 
 
 def _tail_estimate(profile: FourierProfile) -> float:
@@ -328,6 +372,8 @@ def to_time_domain(
     The spectrum outside the window is dropped; the induced absolute error
     is estimated from the envelope decay of |phi_hat| and must not exceed
     `tolerance`, otherwise a ToleranceError asks for a wider window.
+    1/(profile.step * step) must be an integer (1/64 and 1/32 give 2048),
+    otherwise fourier_to_time raises GridCompatibilityError.
     """
     if half_width <= 0.0 or step <= 0.0:
         raise WindowError(f"half_width and step must be positive, got {half_width!r}, {step!r}")

@@ -16,6 +16,7 @@ import numpy as np
 from . import frames
 from .analysis import lowpass_condition
 from .cascade import refinement_residual, run_cascade
+from .errors import PseudoSplineError
 from .symbol import (
     PseudoSplineOrder,
     TorusGrid,
@@ -43,6 +44,7 @@ class CheckResult:
     name: str
     observed: float
     limit: float
+    error: PseudoSplineError | None = None
 
     @property
     def passed(self) -> bool:
@@ -53,13 +55,16 @@ class CheckResult:
         return self.limit - self.observed
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "name": self.name,
             "observed": self.observed,
             "limit": self.limit,
             "passed": self.passed,
             "margin": self.margin,
         }
+        if self.error is not None:
+            d["error"] = str(self.error)
+        return d
 
 
 def default_bank_resolution(order: PseudoSplineOrder) -> int:
@@ -184,6 +189,14 @@ def run_frames_checks(
     return results
 
 
+def _suite(run, *args) -> list[CheckResult]:
+    """One suite's results; a PseudoSplineError becomes one failed `error` entry."""
+    try:
+        return run(*args)
+    except PseudoSplineError as exc:
+        return [CheckResult("error", math.inf, 0.0, exc)]
+
+
 def run_all(
     order: PseudoSplineOrder,
     symbol_resolution: int = 4096,
@@ -197,10 +210,12 @@ def run_all(
     seed: int = 7,
     tolerance_scale: float = 1.0,
 ) -> dict[str, list[CheckResult]]:
+    """Every suite, each run on its own: one that raises does not stop the others."""
     return {
-        "symbol": run_symbol_checks(order, symbol_resolution, tolerance_scale),
-        "cascade": run_cascade_checks(order, levels, window, step, tolerance_scale),
-        "frames": run_frames_checks(
-            order, frames_resolution, truncation_eps, signals, signal_length, seed, tolerance_scale
+        "symbol": _suite(run_symbol_checks, order, symbol_resolution, tolerance_scale),
+        "cascade": _suite(run_cascade_checks, order, levels, window, step, tolerance_scale),
+        "frames": _suite(
+            run_frames_checks,
+            order, frames_resolution, truncation_eps, signals, signal_length, seed, tolerance_scale,
         ),
     }

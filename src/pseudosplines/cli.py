@@ -352,10 +352,13 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         for r in results[suite]:
             status = "PASS" if r.passed else "FAIL"
             all_passed = all_passed and r.passed
-            sys.stdout.write(
-                f"{status} {suite}.{r.name} observed={format_float(r.observed)} "
-                f"limit={format_float(r.limit)}\n"
-            )
+            if r.error is not None:
+                sys.stdout.write(f"{status} {suite}.{r.name}: {r.error}\n")
+            else:
+                sys.stdout.write(
+                    f"{status} {suite}.{r.name} observed={format_float(r.observed)} "
+                    f"limit={format_float(r.limit)}\n"
+                )
             d = r.to_dict()
             d["observed"] = _json_value(d["observed"])
             d["margin"] = _json_value(d["margin"])
@@ -367,6 +370,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     total = sum(len(v) for v in results.values())
     passed = sum(1 for v in results.values() for r in v if r.passed)
     sys.stdout.write(f"{passed}/{total} checks passed\n")
+    errors = [r.error for v in results.values() for r in v if r.error is not None]
+    if errors:
+        raise errors[0]
     return 0 if all_passed else 3
 
 

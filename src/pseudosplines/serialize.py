@@ -54,15 +54,38 @@ def _pair(value: complex) -> list[float]:
     return [value.real, value.imag]
 
 
+CSV_CHUNK_ROWS = 1 << 16
+
+
+def _require_finite(column: list[float]) -> None:
+    if not all(map(math.isfinite, column)):
+        bad = next(x for x in column if not math.isfinite(x))
+        raise DomainError(f"refusing to serialize non-finite value {bad!r}")
+
+
 def write_samples_csv(path, axis_name: str, axis: Sequence[float], values) -> None:
+    """Header plus one ``axis,re,im,abs`` row per sample, floats as format_float.
+
+    Rows are formatted in bulk, CSV_CHUNK_ROWS rows per write, which bounds
+    the text held in memory for million-sample signals.  ``abs`` is Python's
+    abs of each complex value: numpy's vectorized abs differs in the last
+    digit for some values, which would change the bytes written.
+    """
+    axis = np.asarray(axis, dtype=float)
     values = np.asarray(values, dtype=complex)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([axis_name, "re", "im", "abs"])
-        for t, v in zip(axis, values):
-            writer.writerow(
-                [format_float(t), format_float(v.real), format_float(v.imag), format_float(abs(v))]
-            )
+        csv.writer(fh, lineterminator="\n").writerow([axis_name, "re", "im", "abs"])
+        for start in range(0, min(len(axis), len(values)), CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            block = values[start:stop]
+            columns = (axis[start:stop].tolist(), block.real.tolist(), block.imag.tolist())
+            for column in columns:
+                _require_finite(column)
+            try:
+                columns += (list(map(abs, block.tolist())),)
+            except OverflowError:  # |v| beyond the largest double
+                raise DomainError("refusing to serialize non-finite value inf") from None
+            fh.write("".join(f"{t!r},{re!r},{im!r},{mag!r}\n" for t, re, im, mag in zip(*columns)))
 
 
 def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:

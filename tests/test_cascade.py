@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudosplines.errors import ToleranceError
+from pseudosplines import cli
+from pseudosplines.errors import GridCompatibilityError, ToleranceError
 from pseudosplines.cascade import (
     cascade_step,
+    fourier_to_time,
     initial_profile,
     refinement_residual,
     run_cascade,
@@ -109,6 +111,58 @@ def test_time_inversion_translates_shifted_orders():
     for t, v in zip(tb.ts, tb.values):
         j = np.argmin(np.abs(ts.ts - (t + 1.0)))
         assert abs(ts.values[j] - v) < 1e-7
+
+
+def test_shifted_cascade_is_the_unshifted_one_times_the_exact_phase():
+    base, base_diag = run_cascade(PseudoSplineOrder(2.0, 1))
+    for u in (0.5, 0.3, 1e6):
+        order = PseudoSplineOrder(2.0, 1, shift=u)
+        profile, diag = run_cascade(order)
+        assert profile.order == order
+        assert np.array_equal(profile.values, np.exp(-2j * np.pi * u * base.gammas) * base.values)
+        assert diag.to_dict() == base_diag.to_dict()
+        assert refinement_residual(profile) < 1e-6
+
+
+def dense_trapezoid(gammas, values, ts):
+    """f(t_j) = sum_k w_k v_k exp(2 pi i gamma_k t_j) dgamma, term by term."""
+    w = np.ones(len(gammas))
+    w[0] = w[-1] = 0.5
+    return np.exp(2j * np.pi * np.outer(ts, gammas)) @ (w * values * (gammas[1] - gammas[0]))
+
+
+@pytest.mark.parametrize(
+    "window, step, ts",
+    [
+        (64.0, 1.0 / 64, (np.arange(513) - 256) / 32),  # P = 2048 < 8193 samples
+        (4.0, 1.0 / 16, (np.arange(129) - 64) / 64),  # P = 1024 > 129 samples
+        (2.0, 1.0 / 4, (np.arange(161) - 80) / 8),  # P = 32: rows wrap, 2n+1 > P
+        (16.0, 1.0 / 16, 0.3 + np.arange(100) / 32),  # nonzero, non-dyadic t0
+        (16.0, 1.0 / 16, np.array([0.37])),  # one time sample
+    ],
+)
+def test_fft_inversion_matches_the_dense_trapezoid_sum(window, step, ts):
+    profile, _ = run_cascade(PseudoSplineOrder(3.2 + 1.0j, 2), window=window, step=step)
+    dense = dense_trapezoid(profile.gammas, profile.values, ts)
+    fast = fourier_to_time(profile.gammas, profile.values, ts)
+    assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_fft_inversion_rejects_incompatible_grids():
+    profile, _ = run_cascade(PseudoSplineOrder(2.0, 0))
+    with pytest.raises(GridCompatibilityError, match="must be an integer"):
+        to_time_domain(profile, half_width=3.0, step=0.03, tolerance=1e-3)
+    with pytest.raises(GridCompatibilityError, match="uniformly spaced"):
+        fourier_to_time(profile.gammas, profile.values, np.array([0.0, 0.25, 0.75]))
+    with pytest.raises(GridCompatibilityError, match="uniformly spaced"):
+        fourier_to_time(profile.gammas**3, profile.values, np.array([0.0, 0.25]))
+
+
+def test_cli_cascade_rejects_an_incompatible_time_step(tmp_path, capsys):
+    rc = cli.main(["cascade", "--z", "2", "--ell", "0", "--time-half-width", "3", "--dt", "0.03",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "must be an integer" in capsys.readouterr().err
 
 
 @settings(deadline=None, max_examples=25)

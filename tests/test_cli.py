@@ -138,6 +138,27 @@ def test_verify_exit_code_on_failure(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_writes_its_report_when_a_suite_raises(tmp_path, capsys):
+    # (1, 1) has a partition above 1, so building its bank raises
+    # ConsistencyError; the symbol and cascade results must still be reported
+    rc, out, err = run(["verify", "--z", "1", "--ell", "1", "--signals", "2"], tmp_path, capsys)
+    assert rc == 3
+    assert "filter-bank identities violated" in err
+    assert "FAIL frames.error: filter-bank identities violated" in out
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert len(report["suites"]["symbol"]) >= 6
+    assert len(report["suites"]["cascade"]) == 6
+    (entry,) = report["suites"]["frames"]
+    assert entry["name"] == "error" and entry["passed"] is False
+    assert "filter-bank identities violated" in entry["error"]
+
+
+def test_verify_passes_for_a_shifted_order(tmp_path, capsys):
+    rc, out, _ = run(["verify", "--z", "2", "--ell", "1", "--shift", "0.5", "--signals", "2"], tmp_path, capsys)
+    assert rc == 0
+    assert "FAIL" not in out
+
+
 def test_analyze_reports_known_values(tmp_path, capsys):
     rc, out, _ = run(["analyze", "--z", "2", "--ell", "1"], tmp_path, capsys)
     assert rc == 0

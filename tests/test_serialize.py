@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudosplines.errors import DomainError
 from pseudosplines.serialize import (
+    CSV_CHUNK_ROWS,
     dump_json,
     format_float,
     load_json,
@@ -52,6 +53,34 @@ def test_samples_csv_header_and_column_order(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,re,im,abs"
     assert lines[1].split(",") == ["0.25", "1.0", "-2.0", format_float(abs(1.0 - 2.0j))]
+
+
+def test_samples_csv_matches_per_row_format_float(tmp_path):
+    # more rows than one bulk write holds, so two chunks are joined
+    n = CSV_CHUNK_ROWS + 500
+    rng = np.random.default_rng(8)
+    extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, -1e308])
+    values = np.concatenate(
+        [
+            (extremes[:, None] + 1j * extremes[None, :]).ravel(),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        ]
+    )
+    axis = np.arange(len(values)) / 64 - 0.5
+    path = tmp_path / "bulk.csv"
+    write_samples_csv(path, "gamma", axis, values)
+    rows = [
+        ",".join(format_float(x) for x in (t, complex(v).real, complex(v).imag, abs(v)))
+        for t, v in zip(axis, values)
+    ]
+    assert path.read_text() == "gamma,re,im,abs\n" + "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, -math.inf), 1.7e308 + 1.7e308j])
+def test_samples_csv_refuses_non_finite_values(tmp_path, bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        write_samples_csv(tmp_path / "bad.csv", "t", [0.0, 1.0], [1.0, bad])
 
 
 def test_read_samples_csv_rejects_headerless_file(tmp_path):
