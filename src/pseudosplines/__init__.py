@@ -1,32 +1,12 @@
 """Pseudo-spline refinement filters of fractional and complex order, the
 refinable functions they generate, and the associated three-generator tight
-framelet systems, with numerical verification of the defining identities."""
+framelet systems, with numerical verification of the defining identities.
 
-from .analysis import (
-    AnalysisReport,
-    approximation_order,
-    decay_fit,
-    default_zero_fit_range,
-    full_report,
-    holder_exponent,
-    kappa,
-    lowpass_condition,
-    lowpass_floor,
-    verify_L_conditions,
-    zero_order_fit,
-)
-from .cascade import (
-    CascadeDiagnostics,
-    FourierProfile,
-    TimeProfile,
-    cascade_step,
-    fourier_to_time,
-    initial_profile,
-    refinement_residual,
-    run_cascade,
-    to_time_domain,
-)
-from .checks import CheckResult, run_all, run_cascade_checks, run_frames_checks, run_symbol_checks
+The top level exports what the README quickstart uses and the error types;
+everything else is imported from its own submodule."""
+
+from .analysis import full_report
+from .cascade import run_cascade, to_time_domain
 from .errors import (
     ConditionError,
     ConsistencyError,
@@ -40,116 +20,36 @@ from .errors import (
     VerificationFailure,
     WindowError,
 )
-from .frames import (
-    FilterCoefficients,
-    FrameletBank,
-    PeriodicSignal,
-    analyze,
-    analyze_multilevel,
-    bank_from_dict,
-    bank_to_dict,
-    build_bank,
-    eval_eta,
-    eval_sigma,
-    extract_coeffs,
-    framelet_hat,
-    framelet_time,
-    synthesize,
-    synthesize_multilevel,
-    uep_errors,
-)
-from .special import complex_binomial, gamma, log_gamma, real_pow_complex
-from .symbol import (
-    PartitionExtrema,
-    PseudoSplineOrder,
-    SampledSymbol,
-    TorusGrid,
-    eval_H0,
-    eval_p,
-    eval_partition,
-    eval_q,
-    eval_q_prime,
-    lipschitz_check,
-    max_ell,
-    partition_extrema,
-    partition_values,
-    sample_H0,
-    theta_bound,
-)
+from .frames import PeriodicSignal, analyze, build_bank, framelet_time, synthesize, uep_errors
+from .symbol import PseudoSplineOrder, TorusGrid, partition_extrema, sample_H0, theta_bound
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
-    "CascadeDiagnostics",
-    "CheckResult",
+    "PseudoSplineOrder",
+    "TorusGrid",
+    "sample_H0",
+    "partition_extrema",
+    "theta_bound",
+    "run_cascade",
+    "to_time_domain",
+    "build_bank",
+    "framelet_time",
+    "uep_errors",
+    "PeriodicSignal",
+    "analyze",
+    "synthesize",
+    "full_report",
     "ConditionError",
     "ConsistencyError",
     "DomainError",
-    "FilterCoefficients",
-    "FourierProfile",
-    "FrameletBank",
     "GridCompatibilityError",
     "OrderError",
-    "PartitionExtrema",
-    "PeriodicSignal",
     "PoleError",
     "PseudoSplineError",
-    "PseudoSplineOrder",
     "ResolutionError",
-    "SampledSymbol",
-    "TimeProfile",
     "ToleranceError",
-    "TorusGrid",
     "VerificationFailure",
     "WindowError",
-    "analyze",
-    "analyze_multilevel",
-    "approximation_order",
-    "bank_from_dict",
-    "bank_to_dict",
-    "build_bank",
-    "cascade_step",
-    "complex_binomial",
-    "decay_fit",
-    "default_zero_fit_range",
-    "eval_H0",
-    "eval_eta",
-    "eval_p",
-    "eval_partition",
-    "eval_q",
-    "eval_q_prime",
-    "eval_sigma",
-    "extract_coeffs",
-    "fourier_to_time",
-    "framelet_hat",
-    "framelet_time",
-    "full_report",
-    "gamma",
-    "holder_exponent",
-    "initial_profile",
-    "kappa",
-    "lipschitz_check",
-    "log_gamma",
-    "lowpass_condition",
-    "lowpass_floor",
-    "max_ell",
-    "partition_extrema",
-    "partition_values",
-    "real_pow_complex",
-    "refinement_residual",
-    "run_all",
-    "run_cascade",
-    "run_cascade_checks",
-    "run_frames_checks",
-    "run_symbol_checks",
-    "sample_H0",
-    "synthesize",
-    "synthesize_multilevel",
-    "theta_bound",
-    "to_time_domain",
-    "uep_errors",
-    "verify_L_conditions",
-    "zero_order_fit",
     "__version__",
 ]

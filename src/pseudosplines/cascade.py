@@ -7,9 +7,7 @@ The iterates are
 
 starting from phi_hat_0 = indicator([-1/2, 1/2]).  Each level multiplies one
 more dilated symbol onto a running product held on a fixed uniform grid; no
-interpolation is ever used (2^{-j} gamma is evaluated directly), so the
-incremental product is floating-point identical to recomputing the product
-from scratch at every level.
+interpolation is ever used (2^{-j} gamma is evaluated directly).
 
 Diagnostics record, per level, the sup-norm change against the previous
 iterate and a trapezoidal L2 norm taken over the level's support interval;
@@ -42,8 +40,6 @@ __all__ = [
     "FourierProfile",
     "TimeProfile",
     "CascadeDiagnostics",
-    "initial_profile",
-    "cascade_step",
     "run_cascade",
     "refinement_residual",
     "fourier_to_time",
@@ -179,35 +175,6 @@ def _support_l2(gammas: np.ndarray, values: np.ndarray, bound: float, step: floa
     w[0] = 0.5
     w[-1] = 0.5
     return float(math.sqrt(np.sum(w * sq) * step))
-
-
-def initial_profile(order: PseudoSplineOrder, window: float = 64.0, step: float = 1.0 / 64.0) -> FourierProfile:
-    """Level-0 iterate: the indicator of [-1/2, 1/2] on the requested grid."""
-    g = _grid(window, step)
-    values = _support_mask(g, 0.5, step).astype(complex)
-    return FourierProfile(order, 0, float(np.max(g)), step, values)
-
-
-def _raw_product(order: PseudoSplineOrder, gammas: np.ndarray, level: int) -> np.ndarray:
-    prod = np.ones(len(gammas), dtype=complex)
-    for j in range(1, level + 1):
-        prod *= eval_H0(order, gammas * 0.5**j)
-    return prod
-
-
-def cascade_step(profile: FourierProfile) -> FourierProfile:
-    """Advance one level by direct pointwise product evaluation.
-
-    The full product for level m+1 is recomputed from the order on the
-    profile's grid (the input supplies order, grid and level metadata), so
-    truncation applied to the input values never propagates and no
-    interpolation error enters.
-    """
-    g = profile.gammas
-    level = profile.level_m + 1
-    values = _raw_product(profile.order, g, level)
-    values[~_support_mask(g, 2.0 ** (level - 1), profile.step)] = 0.0
-    return FourierProfile(profile.order, level, profile.half_width, profile.step, values)
 
 
 def run_cascade(

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .serialize import (
 )
 from .symbol import PseudoSplineOrder, TorusGrid, partition_extrema, sample_H0, theta_bound
 
-__all__ = ["main", "build_parser", "RunConfig", "DEFAULT_SWEEP"]
+__all__ = ["main", "build_parser", "DEFAULT_SWEEP"]
 
 DEFAULT_SWEEP = (
     "1,0;1.5,0;2,0;2,1;"
@@ -120,35 +119,6 @@ def _write_series(ns, stem: str, axis_name: str, axis, values, json_obj=None) ->
         write_samples_csv(path, axis_name, axis, values)
     _emit(path)
     return path
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized record of one invocation; survives a JSON round trip intact."""
-
-    command: str
-    params: tuple
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        skip = {"command", "func", "config"}
-        items = []
-        for key in sorted(vars(ns)):
-            if key in skip:
-                continue
-            value = getattr(ns, key)
-            if isinstance(value, complex):
-                value = [value.real, value.imag]
-            items.append((key, value))
-        return cls(command=ns.command, params=tuple(items))
-
-    def to_json_text(self) -> str:
-        return dump_json({"command": self.command, "params": [[k, v] for k, v in self.params]})
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "RunConfig":
-        d = json.loads(text)
-        return cls(command=d["command"], params=tuple((k, v) for k, v in d["params"]))
 
 
 def _parse_bands(text) -> list[int]:

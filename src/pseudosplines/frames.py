@@ -50,7 +50,7 @@ from .errors import (
     WindowError,
 )
 from .cascade import FourierProfile, TimeProfile
-from .symbol import PseudoSplineOrder, SampledSymbol, TorusGrid, eval_p, sample_H0
+from .symbol import PseudoSplineOrder, SampledSymbol, TorusGrid, _as_array, eval_p, sample_H0
 
 __all__ = [
     "FilterCoefficients",
@@ -59,7 +59,6 @@ __all__ = [
     "eval_eta",
     "eval_sigma",
     "build_bank",
-    "extract_coeffs",
     "uep_errors",
     "framelet_hat",
     "framelet_time",
@@ -73,11 +72,6 @@ __all__ = [
 
 _SERIES_CUTOFF = 0.05
 _ETA_ERROR_FLOOR = -1e-9
-
-
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
 
 
 def _abs_q_squared(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
@@ -350,30 +344,6 @@ def build_bank(
             f"filter-bank identities violated (diag {diag_err:.3e}, offdiag {off_err:.3e})"
         )
     return bank
-
-
-def extract_coeffs(
-    bank: FrameletBank, n: int, max_k: int | None = None, eps: float | None = None
-) -> FilterCoefficients:
-    """Truncated Fourier coefficients of band n via the grid Fourier sum.
-
-    c_k = (1/N) sum_j H_n(gamma_j) exp(-2 pi i k gamma_j); the retained
-    radius is the smallest K whose discarded-tail l2 norm is <= eps.  With
-    the bank defaults this simply returns the stored sequence.
-    """
-    if n not in (0, 1, 2, 3):
-        raise DomainError(f"band index must be 0..3, got {n!r}")
-    if max_k is None and eps is None:
-        return bank.coeffs[n]
-    resolution = bank.grid.resolution
-    if max_k is None:
-        max_k = resolution // 4
-    if eps is None:
-        eps = bank.truncation_eps
-    max_k = int(max_k)
-    if max_k < 1 or resolution < 2 * max_k:
-        raise ResolutionError(f"max_k must satisfy 1 <= max_k <= resolution/2, got {max_k}")
-    return _coeffs_from_samples(n, bank.symbol(n).values, resolution, max_k, float(eps))
 
 
 def _interp_periodic(values: np.ndarray, resolution: int, gamma: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .symbol import PseudoSplineOrder, SampledSymbol, TorusGrid
+from .symbol import PseudoSplineOrder, SampledSymbol
 
 __all__ = [
     "format_float",
@@ -34,7 +34,6 @@ __all__ = [
     "order_to_dict",
     "order_from_dict",
     "symbol_to_dict",
-    "symbol_from_dict",
     "dump_json",
     "write_json",
     "load_json",
@@ -122,13 +121,6 @@ def symbol_to_dict(symbol: SampledSymbol) -> dict:
         "resolution": symbol.grid.resolution,
         "values": [_pair(v) for v in symbol.values],
     }
-
-
-def symbol_from_dict(d: dict) -> SampledSymbol:
-    order = order_from_dict(d["order"])
-    grid = TorusGrid(int(d["resolution"]))
-    values = np.array([complex(re, im) for re, im in d["values"]], dtype=complex)
-    return SampledSymbol(order, grid, values)
 
 
 def dump_json(obj) -> str:

@@ -1,8 +1,7 @@
 """Complex special functions used by the symbol constructions.
 
-Provides a principal-branch complex log-Gamma, generalized binomial
-coefficients binom(a, k) for complex a and integer k, and real**complex
-powers with the boundary convention 0**z = 0 for Re z >= 1.
+Provides a principal-branch complex log-Gamma and generalized binomial
+coefficients binom(a, k) for complex a and integer k.
 
 log_gamma uses a Lanczos rational approximation with g = 607/128 and a
 fixed 15-term coefficient set; the relative accuracy is ~1e-14 in the right
@@ -18,7 +17,7 @@ import math
 
 from .errors import DomainError, PoleError
 
-__all__ = ["log_gamma", "gamma", "complex_binomial", "real_pow_complex"]
+__all__ = ["log_gamma", "complex_binomial"]
 
 _LOG_2PI = 1.8378770664093454835606594728112352797227949472755668
 _LOG_PI = 1.1447298858494001741434273513530587116472948129153116
@@ -85,11 +84,6 @@ def log_gamma(w: complex) -> complex:
     return complex(_LOG_PI, corr) - cmath.log(_sin_pi(w)) - _lanczos(1.0 - w)
 
 
-def gamma(w: complex) -> complex:
-    """Gamma(w) = exp(log_gamma(w)); may overflow for large Re w."""
-    return cmath.exp(log_gamma(w))
-
-
 def complex_binomial(a: complex, k: int) -> complex:
     """Generalized binomial coefficient binom(a, k), complex a, integer k >= 0.
 
@@ -115,22 +109,3 @@ def complex_binomial(a: complex, k: int) -> complex:
             num *= a - j
         return num / math.factorial(k)
     return cmath.exp(log_gamma(a + 1.0) - log_gamma(k + 1.0) - log_gamma(a - k + 1.0))
-
-
-def real_pow_complex(x: float, z: complex) -> complex:
-    """x**z = exp(z ln x) for real x >= 0 and complex z.
-
-    0**z is defined as 0 for Re z >= 1 (continuity from x > 0); any other
-    exponent at x = 0, or a negative base, is a domain error.
-    """
-    x = float(x)
-    z = complex(z)
-    if math.isnan(x):
-        raise DomainError("real_pow_complex base must not be NaN")
-    if x < 0.0:
-        raise DomainError(f"real_pow_complex requires x >= 0, got {x!r}")
-    if x == 0.0:
-        if z.real >= 1.0:
-            return 0.0 + 0.0j
-        raise DomainError("0**z is only defined (as 0) for Re z >= 1")
-    return cmath.exp(z * math.log(x))

@@ -45,7 +45,6 @@ __all__ = [
     "eval_q_prime",
     "eval_H0",
     "sample_H0",
-    "eval_partition",
     "partition_values",
     "theta_bound",
     "PartitionExtrema",
@@ -65,9 +64,10 @@ class PseudoSplineOrder:
 
     Constraints: Re z >= 1, 0 <= ell <= floor(Re z - 1/2), shift real.
     One step beyond the ell bound is tolerated (the reference filter family
-    z = 3.2+1i runs ell up to 3): the defining formulas stay well-posed there
-    and the partition identity is verified numerically rather than
-    guaranteed.  Anything further raises OrderError at construction time.
+    z = 3.2+1i runs ell up to 3): the defining formulas stay well-posed there,
+    but the partition bound is not guaranteed and fails for some such
+    orders, e.g. (1, 1).  Anything further raises OrderError at construction
+    time.
     """
 
     z: complex
@@ -228,11 +228,22 @@ def _check_unit_interval(x: np.ndarray, closed_right: bool) -> None:
         raise DomainError(f"argument x must lie in {rng}")
 
 
-def _pow_fractional(base: np.ndarray, expo: complex) -> np.ndarray:
-    """base**expo for base >= 0 elementwise, with 0**expo := 0 (Re expo > 0)."""
-    out = np.zeros(base.shape, dtype=complex)
-    pos = base > 0.0
-    out[pos] = np.exp(expo * np.log(base[pos]))
+def _p_taylor(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
+    """p(x) = sum_k binom(z-1+k, k) x^k by Horner's rule, for an array x."""
+    coeffs = order.taylor_coefficients()
+    out = np.full(x.shape, coeffs[-1], dtype=complex)
+    for k in range(order.ell - 1, -1, -1):
+        out *= x
+        out += coeffs[k]
+    return out
+
+
+def _q(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
+    """q(x) = (1-x)^z p(x) for an array x already checked to lie in [0, 1]."""
+    p = _p_taylor(order, x)
+    out = np.zeros(x.shape, dtype=complex)
+    interior = x < 1.0
+    out[interior] = np.exp(order.z * np.log1p(-x[interior])) * p[interior]
     return out
 
 
@@ -246,10 +257,7 @@ def eval_p(order: PseudoSplineOrder, x, form: str = "taylor"):
     arr, scalar = _as_array(x)
     _check_unit_interval(arr, closed_right=True)
     if form == "taylor":
-        coeffs = order.taylor_coefficients()
-        out = np.full(arr.shape, coeffs[-1], dtype=complex)
-        for k in range(order.ell - 1, -1, -1):
-            out = out * arr + coeffs[k]
+        out = _p_taylor(order, arr)
     elif form == "definition":
         coeffs = order.definition_coefficients()
         onemx = 1.0 - arr
@@ -265,11 +273,7 @@ def eval_q(order: PseudoSplineOrder, x):
     """q(x) = (1-x)^z p(x) on [0, 1]; q(1) = 0 since Re z >= 1."""
     arr, scalar = _as_array(x)
     _check_unit_interval(arr, closed_right=True)
-    p = eval_p(order, arr if not scalar else arr[()], form="taylor")
-    p = np.asarray(p, dtype=complex).reshape(arr.shape)
-    out = np.zeros(arr.shape, dtype=complex)
-    interior = arr < 1.0
-    out[interior] = np.exp(order.z * np.log1p(-arr[interior])) * p[interior]
+    out = _q(order, arr)
     return complex(out[()]) if scalar else out
 
 
@@ -293,12 +297,7 @@ def eval_H0(order: PseudoSplineOrder, gamma):
     periodizes it implicitly).
     """
     arr, scalar = _as_array(gamma)
-    x = np.sin(np.pi * arr) ** 2
-    p = eval_p(order, x if not scalar else x[()], form="taylor")
-    p = np.asarray(p, dtype=complex).reshape(arr.shape)
-    out = np.zeros(arr.shape, dtype=complex)
-    interior = x < 1.0
-    out[interior] = np.exp(order.z * np.log1p(-x[interior])) * p[interior]
+    out = _q(order, np.sin(np.pi * arr) ** 2)
     if order.shift != 0.0:
         out = out * np.exp(-2j * np.pi * order.shift * arr)
     return complex(out[()]) if scalar else out
@@ -309,18 +308,6 @@ def sample_H0(order: PseudoSplineOrder, grid: TorusGrid) -> SampledSymbol:
     return SampledSymbol(order, grid, eval_H0(order, grid.gamma))
 
 
-def eval_partition(order: PseudoSplineOrder, gamma):
-    """|H0(gamma)|^2 + |H0(gamma + 1/2)|^2, evaluated pointwise.
-
-    Shift phases drop out of the moduli, so the result is shift-independent.
-    """
-    arr, scalar = _as_array(gamma)
-    h0 = np.asarray(eval_H0(order, arr), dtype=complex).reshape(arr.shape)
-    h1 = np.asarray(eval_H0(order, arr + 0.5), dtype=complex).reshape(arr.shape)
-    out = np.abs(h0) ** 2 + np.abs(h1) ** 2
-    return float(out[()]) if scalar else out
-
-
 def partition_values(symbol: SampledSymbol) -> np.ndarray:
     """Grid partition function via the exact index half-shift."""
     v = symbol.values
@@ -328,10 +315,11 @@ def partition_values(symbol: SampledSymbol) -> np.ndarray:
 
 
 def theta_bound(order: PseudoSplineOrder) -> float:
-    """Closed-form lower bound of the partition function.
+    """Closed-form partition value at gamma = +-1/4 (x = 1/2).
 
-    theta = 2^{1-2 alpha-2 ell} |sum_{k=0}^{ell} binom(z+ell, k)|^2, the
-    partition value at gamma = +-1/4 (x = 1/2); lies in (0, 1].
+    theta = 2^{1-2 alpha-2 ell} |sum_{k=0}^{ell} binom(z+ell, k)|^2.  It is
+    not a bound for every accepted order: extended orders can exceed 1,
+    e.g. theta = 1.125 for (z, ell) = (1, 1).
     """
     s = complex(np.sum(order.definition_coefficients()))
     return float(2.0 ** (1.0 - 2.0 * order.alpha - 2.0 * order.ell) * abs(s) ** 2)

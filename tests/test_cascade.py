@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pseudosplines import cli
 from pseudosplines.errors import GridCompatibilityError, ToleranceError
 from pseudosplines.cascade import (
-    cascade_step,
     fourier_to_time,
-    initial_profile,
     refinement_residual,
     run_cascade,
     to_time_domain,
@@ -59,10 +57,9 @@ def test_refinement_residual_after_convergence():
 
 
 def test_cascade_step_increments_the_level():
-    p0 = initial_profile(PseudoSplineOrder(1.5, 0), window=8.0, step=1.0 / 16)
-    p1 = cascade_step(p0)
-    assert p1.level_m == p0.level_m + 1
-    assert p1.values.shape == p0.values.shape
+    p1, _ = run_cascade(PseudoSplineOrder(1.5, 0), levels=1, window=8.0, step=1.0 / 16)
+    assert p1.level_m == 1
+    assert p1.values.shape == (2 * 128 + 1,)
     # one step must not move the origin value
     assert p1.value_at_zero() == pytest.approx(1.0, abs=1e-14)
 

@@ -298,15 +298,6 @@ def test_environment_variable_sets_the_output_directory(tmp_path, capsys, monkey
     assert (outdir / "filter_h0.csv").exists()
 
 
-def test_run_config_round_trip():
-    parser, _ = cli.build_parser()
-    ns = parser.parse_args(["filter", "--z", "3.2+1i", "--ell", "2", "--grid", "256"])
-    config = cli.RunConfig.from_namespace(ns)
-    again = cli.RunConfig.from_json_text(config.to_json_text())
-    assert again == config
-    assert config.to_json_text() == again.to_json_text()
-
-
 def test_missing_order_is_a_config_error(tmp_path, capsys):
     rc, _, err = run(["cascade"], tmp_path, capsys)
     assert rc == 2

@@ -160,7 +160,7 @@ def test_truncation_tails_are_recorded_and_small():
 
 def test_extract_coeffs_respects_max_k():
     with pytest.raises(ResolutionError):
-        frames.extract_coeffs(BANK_15_0, 0, max_k=BANK_15_0.grid.resolution)
+        frames.build_bank(BANK_15_0.order, BANK_15_0.grid, max_k=BANK_15_0.grid.resolution)
 
 
 # ---------------------------------------------------------------- framelets

@@ -1,0 +1,46 @@
+"""The README's library quickstart runs as written and documents the public surface."""
+
+import ast
+import pathlib
+import re
+
+import numpy as np
+
+import pseudosplines
+from pseudosplines import errors
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quickstart() -> str:
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ns = {"__name__": "readme_quickstart"}
+    exec(compile(quickstart(), str(README), "exec"), ns)
+    capsys.readouterr()
+    assert max(pseudosplines.uep_errors(ns["bank"])) < 1e-12
+    # taps truncated at eps = 1e-10; 1e-8 is the limit verify applies
+    assert np.max(np.abs(ns["g"].samples - ns["f"].samples)) < 1e-8
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_public_surface_is_the_quickstart_plus_the_error_types():
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(quickstart()))
+        if isinstance(node, ast.ImportFrom) and node.module == "pseudosplines"
+        for alias in node.names
+    ]
+    error_types = [
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+    ]
+    assert len(imported) == 14 and len(error_types) == 11
+    assert sorted(pseudosplines.__all__) == sorted(imported + error_types + ["__version__"])
+    assert all(hasattr(pseudosplines, name) for name in pseudosplines.__all__)

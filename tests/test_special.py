@@ -1,4 +1,4 @@
-"""Complex log-Gamma, generalized binomials, and real-base complex powers."""
+"""Complex log-Gamma and generalized binomials."""
 
 import cmath
 import math
@@ -9,16 +9,16 @@ import scipy.special
 from hypothesis import assume, given, settings, strategies as st
 
 from pseudosplines.errors import DomainError, PoleError
-from pseudosplines.special import complex_binomial, gamma, log_gamma, real_pow_complex
+from pseudosplines.special import complex_binomial, log_gamma
 
 
 def test_log_gamma_known_values():
     assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
     assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-    assert gamma(5.0).real == pytest.approx(24.0, rel=1e-13)
-    assert gamma(0.5).real == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+    assert cmath.exp(log_gamma(5.0)).real == pytest.approx(24.0, rel=1e-13)
+    assert cmath.exp(log_gamma(0.5)).real == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     # Gamma(1/2 + i) has a textbook modulus: sqrt(pi / cosh(pi))
-    g = gamma(0.5 + 1.0j)
+    g = cmath.exp(log_gamma(0.5 + 1.0j))
     assert abs(g) == pytest.approx(math.sqrt(math.pi / math.cosh(math.pi)), rel=1e-12)
 
 
@@ -45,8 +45,6 @@ def test_log_gamma_left_half_plane_via_reflection():
 def test_gamma_poles_raise(w):
     with pytest.raises(PoleError):
         log_gamma(w)
-    with pytest.raises(PoleError):
-        gamma(w)
 
 
 @settings(deadline=None, max_examples=150)
@@ -59,8 +57,8 @@ def test_gamma_recurrence(w):
     # Gamma(w+1) = w Gamma(w); avoid the pole line
     if abs(w.imag) < 1e-3 and abs(w.real - round(w.real)) < 1e-3:
         return
-    lhs = gamma(w + 1.0)
-    rhs = w * gamma(w)
+    lhs = cmath.exp(log_gamma(w + 1.0))
+    rhs = w * cmath.exp(log_gamma(w))
     assert cmath.isclose(lhs, rhs, rel_tol=1e-10)
 
 
@@ -127,18 +125,3 @@ def test_binomial_pascal_recurrence(a, k):
     rhs = complex_binomial(a - 1, k - 1) + complex_binomial(a - 1, k)
     assert cmath.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
 
-
-def test_real_pow_complex_basics():
-    assert real_pow_complex(4.0, 0.5) == pytest.approx(2.0)
-    z = 3.2 + 1.0j
-    x = 0.37
-    assert cmath.isclose(real_pow_complex(x, z), cmath.exp(z * math.log(x)), rel_tol=1e-14)
-    assert real_pow_complex(0.0, z) == 0.0
-    assert real_pow_complex(0.0, 1.0) == 0.0
-
-
-def test_real_pow_complex_domain():
-    with pytest.raises(DomainError):
-        real_pow_complex(-1.0, 2.0)
-    with pytest.raises(DomainError):
-        real_pow_complex(0.0, 0.5 + 1.0j)

@@ -12,7 +12,6 @@ from pseudosplines.symbol import (
     TorusGrid,
     eval_H0,
     eval_p,
-    eval_partition,
     eval_q,
     eval_q_prime,
     lipschitz_check,
@@ -167,7 +166,8 @@ def test_partition_extrema_for_the_linear_spline():
     assert abs(ext.argmin) == pytest.approx(0.25, abs=1e-12)
     assert ext.max == pytest.approx(1.0, abs=1e-13)
     # the max is attained at both 0 and -1/2 on the full grid
-    assert eval_partition(PseudoSplineOrder(1.0, 0), 0.0) == pytest.approx(1.0, abs=1e-13)
+    s = partition_values(sample_H0(PseudoSplineOrder(1.0, 0), GRID))
+    assert s[GRID.resolution // 2] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_partition_values_match_pointwise_definition():
