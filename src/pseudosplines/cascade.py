@@ -67,11 +67,6 @@ class FourierProfile:
         m = (len(self.values) - 1) // 2
         return (np.arange(len(self.values)) - m) * self.step
 
-    @property
-    def support_half_width(self) -> float:
-        """Support bound of this iterate: min(2^{m-1}, grid extent)."""
-        return float(min(2.0 ** (self.level_m - 1), self.half_width))
-
     def value_at_zero(self) -> complex:
         return complex(self.values[(len(self.values) - 1) // 2])
 

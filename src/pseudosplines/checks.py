@@ -170,17 +170,19 @@ def run_frames_checks(
 
     limit = max(1e-8, 10.0 * truncation_eps)
     rng = np.random.default_rng(seed)
-    worst_energy = 0.0
-    worst_roundtrip = 0.0
-    for _ in range(signals):
-        data = rng.standard_normal(signal_length) + 1j * rng.standard_normal(signal_length)
-        signal = frames.PeriodicSignal(data)
-        subbands = frames.analyze(bank, signal)
-        energy = sum(float(np.sum(np.abs(sub) ** 2)) for sub in subbands)
-        worst_energy = max(worst_energy, abs(energy - signal.energy()) / signal.energy())
-        back = frames.synthesize(bank, subbands)
-        err = float(np.linalg.norm(back.samples - signal.samples) / np.linalg.norm(signal.samples))
-        worst_roundtrip = max(worst_roundtrip, err)
+    # one (signals, length) batch and one set of tap spectra; PeriodicSignal checks the length
+    data = np.empty((signals, signal_length), dtype=complex)
+    for row in data:
+        noise = rng.standard_normal(signal_length) + 1j * rng.standard_normal(signal_length)
+        row[:] = frames.PeriodicSignal(noise).samples
+    spectra = frames._tap_spectra(bank, signal_length)
+    details, approx = frames._analysis(spectra, data, 1)
+    energies = sum(np.sum(np.abs(band) ** 2, axis=-1) for band in (approx, *details[0]))
+    inputs = np.sum(np.abs(data) ** 2, axis=-1)
+    worst_energy = float(np.max(np.abs(energies - inputs) / inputs, initial=0.0))
+    back = frames._synthesis(spectra, details, approx)
+    errors = np.linalg.norm(back - data, axis=-1) / np.linalg.norm(data, axis=-1)
+    worst_roundtrip = float(np.max(errors, initial=0.0))
     results.append(CheckResult("discrete_parseval", worst_energy, limit * s))
     results.append(CheckResult("perfect_reconstruction", worst_roundtrip, limit * s))
 

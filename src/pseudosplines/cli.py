@@ -258,27 +258,18 @@ def cmd_transform(ns: argparse.Namespace) -> int:
     _, values = read_samples_csv(ns.input)
     signal = frames.PeriodicSignal(values)
     levels = int(ns.levels)
-    index = np.arange
-    if levels == 1:
-        subbands = frames.analyze(bank, signal)
-        for n, sub in enumerate(subbands):
-            _write_series(ns, f"subband_n{n}", "index", index(len(sub)), sub)
-        if ns.roundtrip:
-            back = frames.synthesize(bank, subbands)
-            _write_series(ns, "reconstruction", "index", index(back.length), back.samples)
-            err = float(np.linalg.norm(back.samples - signal.samples) / np.linalg.norm(signal.samples))
-            sys.stdout.write(f"roundtrip_relative_error={format_float(err)}\n")
-    else:
-        details, approx = frames.analyze_multilevel(bank, signal, levels)
-        _write_series(ns, "subband_approx", "index", index(len(approx)), approx)
-        for level, level_details in enumerate(details, start=1):
-            for n, sub in enumerate(level_details, start=1):
-                _write_series(ns, f"subband_l{level}_n{n}", "index", index(len(sub)), sub)
-        if ns.roundtrip:
-            back = frames.synthesize_multilevel(bank, details, approx)
-            _write_series(ns, "reconstruction", "index", index(back.length), back.samples)
-            err = float(np.linalg.norm(back.samples - signal.samples) / np.linalg.norm(signal.samples))
-            sys.stdout.write(f"roundtrip_relative_error={format_float(err)}\n")
+    details, approx = frames.analyze_multilevel(bank, signal, levels)
+    series = {"subband_n0" if levels == 1 else "subband_approx": approx}
+    for level, level_details in enumerate(details, start=1):
+        for n, sub in enumerate(level_details, start=1):
+            series[f"subband_n{n}" if levels == 1 else f"subband_l{level}_n{n}"] = sub
+    if ns.roundtrip:
+        series["reconstruction"] = frames.synthesize_multilevel(bank, details, approx).samples
+    for stem, values in series.items():
+        _write_series(ns, stem, "index", np.arange(len(values)), values)
+    if ns.roundtrip:
+        err = float(np.linalg.norm(series["reconstruction"] - signal.samples) / np.linalg.norm(signal.samples))
+        sys.stdout.write(f"roundtrip_relative_error={format_float(err)}\n")
     sys.stdout.write(f"input_energy={format_float(signal.energy())}\n")
     return 0
 

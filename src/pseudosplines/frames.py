@@ -50,7 +50,7 @@ from .errors import (
     WindowError,
 )
 from .cascade import FourierProfile, TimeProfile
-from .symbol import PseudoSplineOrder, SampledSymbol, TorusGrid, _as_array, eval_p, sample_H0
+from .symbol import PseudoSplineOrder, SampledSymbol, TorusGrid, _as_array, _p_taylor, sample_H0
 
 __all__ = [
     "FilterCoefficients",
@@ -76,7 +76,7 @@ _ETA_ERROR_FLOOR = -1e-9
 
 def _abs_q_squared(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
     """|q(x)|^2 = (1-x)^{2 alpha} |p(x)|^2, elementwise on [0, 1]."""
-    p = np.asarray(eval_p(order, x, form="taylor"), dtype=complex).reshape(x.shape)
+    p = _p_taylor(order, x)
     out = np.zeros(x.shape)
     interior = x < 1.0
     out[interior] = np.exp(2.0 * order.alpha * np.log1p(-x[interior])) * np.abs(p[interior]) ** 2
@@ -436,8 +436,46 @@ class PeriodicSignal:
         return float(np.sum(np.abs(self.samples) ** 2))
 
 
-def _wrapped_spectra(bank: FrameletBank, length: int) -> list[np.ndarray]:
-    return [np.fft.fft(bank.coeffs[n].wrapped(length)) for n in range(4)]
+def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
+    """(4, length) spectra of the wrapped taps; spectra[:, ::2**j] is exactly
+    the spectrum of the taps folded to length // 2**j, so one set serves every level."""
+    spectra = np.empty((4, length), dtype=complex)
+    for n in range(4):
+        spectra[n] = np.fft.fft(bank.coeffs[n].wrapped(length))
+    return spectra
+
+
+def _analysis(spectra: np.ndarray, samples: np.ndarray, levels: int) -> tuple[list, np.ndarray]:
+    """analyze_multilevel's (details, approx) for a (..., N) batch of samples.
+
+    One FFT in.  Keeping the even samples of a correlation is folding the
+    halves of its spectrum together (decimation in frequency), so the lowpass
+    band stays a spectrum; only the details and the final approximation go
+    through inverse FFTs, at half length.
+    """
+    a_hat = np.fft.fft(samples, axis=-1)
+    details = []
+    for j in range(levels):
+        bands = []
+        for s in spectra[:, :: 2**j]:
+            y = a_hat * np.conj(s)
+            bands.append((y[..., : len(s) // 2] + y[..., len(s) // 2 :]) * (math.sqrt(2.0) / 2.0))
+        a_hat = bands[0]
+        details.append([np.fft.ifft(band, axis=-1) for band in bands[1:]])
+    return details, np.fft.ifft(a_hat, axis=-1)
+
+
+def _synthesis(spectra: np.ndarray, details: list, approx: np.ndarray) -> np.ndarray:
+    """Inverse of _analysis: upsampling by two tiles a subband's spectrum, the
+    approximation stays a spectrum, and one inverse FFT ends the call."""
+    a_hat = np.fft.fft(approx, axis=-1)
+    for j in range(len(details) - 1, -1, -1):
+        taps = spectra[:, :: 2**j]
+        acc = np.tile(a_hat, 2) * taps[0]
+        for sub, s in zip(details[j], taps[1:]):
+            acc += np.tile(np.fft.fft(sub, axis=-1), 2) * s
+        a_hat = acc * math.sqrt(2.0)
+    return np.fft.ifft(a_hat, axis=-1)
 
 
 def analyze(bank: FrameletBank, signal: PeriodicSignal) -> list[np.ndarray]:
@@ -448,28 +486,15 @@ def analyze(bank: FrameletBank, signal: PeriodicSignal) -> list[np.ndarray]:
     sqrt(2) makes analysis/synthesis a Parseval pair.  Taps longer than the
     signal wrap around the circle.
     """
-    length = signal.length
-    spectra = _wrapped_spectra(bank, length)
-    f_hat = np.fft.fft(signal.samples)
-    rt2 = math.sqrt(2.0)
-    return [rt2 * np.fft.ifft(f_hat * np.conj(h))[0::2] for h in spectra]
+    details, approx = _analysis(_tap_spectra(bank, signal.length), signal.samples, 1)
+    return [approx, *details[0]]
 
 
 def synthesize(bank: FrameletBank, subbands: list[np.ndarray]) -> PeriodicSignal:
     """Adjoint of analyze: upsample, filter, and sum the four subbands."""
     if len(subbands) != 4:
         raise GridCompatibilityError(f"expected 4 subbands, got {len(subbands)}")
-    half = len(subbands[0])
-    if any(len(s) != half for s in subbands):
-        raise GridCompatibilityError("subbands must all have the same length")
-    length = 2 * half
-    spectra = _wrapped_spectra(bank, length)
-    acc = np.zeros(length, dtype=complex)
-    for sub, h in zip(subbands, spectra):
-        up = np.zeros(length, dtype=complex)
-        up[0::2] = np.asarray(sub, dtype=complex)
-        acc += np.fft.fft(up) * h
-    return PeriodicSignal(math.sqrt(2.0) * np.fft.ifft(acc))
+    return synthesize_multilevel(bank, [subbands[1:]], subbands[0])
 
 
 def analyze_multilevel(
@@ -486,23 +511,19 @@ def analyze_multilevel(
         raise ResolutionError(
             f"signal length {signal.length} too short for {levels} levels (need >= {2**levels * 4})"
         )
-    details: list[list[np.ndarray]] = []
-    current = signal
-    for _ in range(levels):
-        subbands = analyze(bank, current)
-        details.append(subbands[1:])
-        current = PeriodicSignal(subbands[0])
-    return details, current.samples
+    return _analysis(_tap_spectra(bank, signal.length), signal.samples, levels)
 
 
 def synthesize_multilevel(
     bank: FrameletBank, details: list[list[np.ndarray]], approx: np.ndarray
 ) -> PeriodicSignal:
     """Inverse of analyze_multilevel."""
-    current = np.asarray(approx, dtype=complex)
+    length = len(approx)
     for level_details in reversed(details):
-        current = synthesize(bank, [current, *level_details]).samples
-    return PeriodicSignal(current)
+        if len(level_details) != 3 or any(len(s) != length for s in level_details):
+            raise GridCompatibilityError(f"each level needs three detail subbands of length {length}")
+        length *= 2
+    return PeriodicSignal(_synthesis(_tap_spectra(bank, length), details, approx))
 
 
 def bank_to_dict(bank: FrameletBank) -> dict:

@@ -172,10 +172,6 @@ class TorusGrid:
         object.__setattr__(self, "resolution", n)
 
     @property
-    def spacing(self) -> float:
-        return 1.0 / self.resolution
-
-    @property
     def gamma(self) -> np.ndarray:
         """Grid points; exact dyadic rationals since N is a power of two."""
         cached = self.__dict__.get("_gamma")

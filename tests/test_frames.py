@@ -317,6 +317,107 @@ def test_synthesize_validates_subband_shapes():
         frames.synthesize(BANK_15_0, [subs[0], subs[1], subs[2], subs[3][:16]])
 
 
+def direct_analysis(bank, x):
+    """subband_n[m] = sqrt(2) sum_k conj(c_k) x[(2m + k) mod N], summed tap by tap."""
+    length = len(x)
+    m = np.arange(length // 2)[:, None]
+    return [
+        math.sqrt(2.0) * np.sum(np.conj(c.values) * x[(2 * m + c.ks) % length], axis=1)
+        for c in (bank.coeffs[n] for n in range(4))
+    ]
+
+
+def direct_synthesis(bank, subbands):
+    """The adjoint of direct_analysis: x[(2m + k) mod N] += sqrt(2) c_k subband_n[m]."""
+    length = 2 * len(subbands[0])
+    m = np.arange(length // 2)[:, None]
+    out = np.zeros(length, dtype=complex)
+    for n, sub in enumerate(subbands):
+        c = bank.coeffs[n]
+        np.add.at(out, (2 * m + c.ks) % length, math.sqrt(2.0) * sub[:, None] * c.values)
+    return out
+
+
+BANK_32_2 = make_bank(3.2 + 1.0j, 2, resolution=2048)
+
+
+@pytest.mark.parametrize("length", [16, 64, 4096])
+@pytest.mark.parametrize("bank", [BANK_15_0, BANK_32_2], ids=["1.5,0", "3.2+1i,2"])
+def test_analysis_matches_direct_circular_correlation(bank, length):
+    # BANK_15_0's taps reach |k| = 401 and 3.2+1i's |k| = 62: both wrap at 16 and 64
+    rng = np.random.default_rng(length)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    got = frames.analyze(bank, frames.PeriodicSignal(x))
+    for n, ref in enumerate(direct_analysis(bank, x)):
+        bound = 1e-13 * np.abs(x).max() * bank.coeffs[n].sum_abs()
+        assert np.abs(got[n] - ref).max() <= bound
+    back = frames.synthesize(bank, got).samples
+    assert np.abs(back - direct_synthesis(bank, got)).max() <= 1e-13 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("length, levels", [(64, 1), (64, 4), (4096, 5)])
+def test_multilevel_matches_the_recursive_direct_reference(length, levels):
+    rng = np.random.default_rng(levels)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    details, approx = frames.analyze_multilevel(BANK_32_2, frames.PeriodicSignal(x), levels)
+    ref = x
+    for level in range(levels):
+        ref, *ref_details = direct_analysis(BANK_32_2, ref)
+        for got, want in zip(details[level], ref_details):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(approx - ref) <= 1e-13 * np.linalg.norm(ref)
+    back = frames.synthesize_multilevel(BANK_32_2, details, approx).samples
+    want = approx
+    for level_details in reversed(details):
+        want = direct_synthesis(BANK_32_2, [want, *level_details])
+    assert np.linalg.norm(back - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shape", [(3, 256), (2, 2, 256)])
+def test_a_batched_transform_equals_per_row_calls(shape):
+    rng = np.random.default_rng(46)
+    batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spectra = frames._tap_spectra(BANK_32_2, shape[-1])
+    details, approx = frames._analysis(spectra, batch, 3)
+    back = frames._synthesis(spectra, details, approx)
+    for index in np.ndindex(shape[:-1]):
+        row_details, row_approx = frames.analyze_multilevel(
+            BANK_32_2, frames.PeriodicSignal(batch[index]), 3
+        )
+        for got_level, want_level in zip(details, row_details):
+            for got, want in zip(got_level, want_level):
+                assert np.abs(got[index] - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(approx[index] - row_approx).max() <= 1e-14 * np.abs(row_approx).max()
+        row_back = frames.synthesize_multilevel(BANK_32_2, row_details, row_approx).samples
+        assert np.abs(back[index] - row_back).max() <= 1e-14 * np.abs(row_back).max()
+
+
+@pytest.mark.parametrize("levels", [1, 3, 5])
+def test_tap_spectra_are_built_once_per_call(monkeypatch, levels):
+    calls = []
+    original = frames.FilterCoefficients.wrapped
+
+    def counting(self, length):
+        calls.append(length)
+        return original(self, length)
+
+    monkeypatch.setattr(frames.FilterCoefficients, "wrapped", counting)
+    sig = frames.PeriodicSignal(np.arange(1024.0))
+    details, approx = frames.analyze_multilevel(BANK_15_0, sig, levels)
+    assert calls == [1024] * 4
+    calls.clear()
+    frames.synthesize_multilevel(BANK_15_0, details, approx)
+    assert calls == [1024] * 4
+
+
+def test_multilevel_synthesis_validates_subband_shapes():
+    details, approx = frames.analyze_multilevel(BANK_15_0, frames.PeriodicSignal(np.ones(64)), 2)
+    with pytest.raises(GridCompatibilityError):
+        frames.synthesize_multilevel(BANK_15_0, [details[0], details[1][:2]], approx)
+    with pytest.raises(GridCompatibilityError):
+        frames.synthesize_multilevel(BANK_15_0, [details[1], details[0]], approx)
+
+
 # ---------------------------------------------------------------- serialization
 
 

@@ -89,6 +89,62 @@ def test_read_samples_csv_rejects_headerless_file(tmp_path):
         read_samples_csv(path)
 
 
+@pytest.mark.parametrize("text", ["\n0.0,1.0,2.0,2.2\n", "t,re\n0.0,1.0\n"])
+def test_read_samples_csv_rejects_a_blank_or_short_header(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match="missing header"):
+        read_samples_csv(path)
+
+
+def test_read_samples_csv_reads_a_one_row_file(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("index,re,im,abs\n3.0,-1.5,0.25,1.5\n")
+    axis, values = read_samples_csv(path)
+    assert axis.shape == (1,) and values.shape == (1,)
+    assert axis[0] == 3.0 and values[0] == complex(-1.5, 0.25)
+
+
+def test_read_samples_csv_reads_a_header_only_file_as_no_rows(tmp_path, recwarn):
+    path = tmp_path / "empty.csv"
+    path.write_text("index,re,im,abs\n")
+    axis, values = read_samples_csv(path)
+    assert axis.shape == (0,) and values.shape == (0,) and values.dtype == complex
+    assert len(recwarn) == 0
+
+
+def test_read_samples_csv_skips_blank_lines_and_keeps_signs_and_extremes(tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_text(
+        "index,re,im,abs\n"
+        "\n"
+        "0.0,-0.0,0.0,0.0\n"
+        "\n"
+        "1.0,1e300,-1e-300,1e300\n"
+        "2.0,-1e300,1e-300,1e300\n"
+        "\n"
+    )
+    axis, values = read_samples_csv(path)
+    assert axis.tolist() == [0.0, 1.0, 2.0]
+    parts = [(v.real, v.imag) for v in values.tolist()]
+    assert parts == [(-0.0, 0.0), (1e300, -1e-300), (-1e300, 1e-300)]
+    assert math.copysign(1.0, parts[0][0]) == -1.0
+    assert math.copysign(1.0, parts[0][1]) == 1.0
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=20))
+def test_read_samples_csv_restores_written_values_bit_for_bit(tmp_path_factory, pairs):
+    values = np.array([complex(re, im) for re, im in pairs])
+    finite = np.isfinite(np.abs(values))
+    values = values[finite] if finite.any() else np.array([0j])
+    path = tmp_path_factory.mktemp("csv") / "values.csv"
+    write_samples_csv(path, "index", np.arange(len(values)), values)
+    _, back = read_samples_csv(path)
+    assert back.view(np.int64).tolist() == values.view(np.int64).tolist()
+
+
 def test_json_round_trip_preserves_structure(tmp_path):
     obj = {"b": [1.5, [0.25, -0.75]], "a": {"nested": 2}}
     path = tmp_path / "obj.json"
