@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     GridCompatibilityError,
     OrderError,
-    PoleError,
     PseudoSplineError,
     ResolutionError,
     ToleranceError,
@@ -45,7 +44,6 @@ __all__ = [
     "DomainError",
     "GridCompatibilityError",
     "OrderError",
-    "PoleError",
     "PseudoSplineError",
     "ResolutionError",
     "ToleranceError",

@@ -22,7 +22,6 @@ import numpy as np
 
 from .cascade import FourierProfile, run_cascade
 from .errors import ConditionError, DomainError, GridCompatibilityError, VerificationFailure, WindowError
-from .special import complex_binomial
 from .symbol import PseudoSplineOrder, eval_H0, eval_p, theta_bound
 
 __all__ = [
@@ -173,7 +172,7 @@ def default_zero_fit_range(order: PseudoSplineOrder) -> tuple[float, float]:
     lower endpoint is chosen so the fitted quantity stays >= ~5e-12, well
     clear of the 1e-13 cancellation floor; the upper endpoint is 1e-2.
     """
-    lead = (order.z + order.ell) * complex_binomial(order.z - 1 + order.ell, order.ell)
+    lead = (order.z + order.ell) * complex(order.taylor_coefficients()[-1])
     c = 2.0 * abs(lead.real) / (order.ell + 1) * math.pi ** (2 * (order.ell + 1))
     if c < 1e-6:
         raise ConditionError(

@@ -14,10 +14,6 @@ class DomainError(PseudoSplineError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Gamma evaluated at a nonpositive integer."""
-
-
 class OrderError(PseudoSplineError, ValueError):
     """Invalid (z, ell, shift) parameter combination."""
 

@@ -50,7 +50,16 @@ from .errors import (
     WindowError,
 )
 from .cascade import FourierProfile, TimeProfile
-from .symbol import PseudoSplineOrder, SampledSymbol, TorusGrid, _as_array, _p_taylor, sample_H0
+from .symbol import (
+    PseudoSplineOrder,
+    SampledSymbol,
+    TorusGrid,
+    _as_array,
+    _binomial,
+    _p_taylor,
+    _taylor_coefficients,
+    sample_H0,
+)
 
 __all__ = [
     "FilterCoefficients",
@@ -83,6 +92,11 @@ def _abs_q_squared(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eta(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
+    """eta = 1 - |q(x)|^2 - |q(1-x)|^2 by the direct formula, unclamped."""
+    return 1.0 - _abs_q_squared(order, x) - _abs_q_squared(order, 1.0 - x)
+
+
 def eval_eta(order: PseudoSplineOrder, gamma):
     """eta(gamma) = 1 - (|H0(gamma)|^2 + |H0(gamma+1/2)|^2), in [0, 1-theta].
 
@@ -93,7 +107,7 @@ def eval_eta(order: PseudoSplineOrder, gamma):
     """
     arr, scalar = _as_array(gamma)
     x = np.sin(np.pi * arr) ** 2
-    eta = 1.0 - _abs_q_squared(order, x) - _abs_q_squared(order, 1.0 - x)
+    eta = _eta(order, x)
     if np.any(eta < _ETA_ERROR_FLOOR):
         raise ConsistencyError(
             f"partition function exceeds 1 by more than {-_ETA_ERROR_FLOOR:g} "
@@ -114,13 +128,10 @@ def _eta_series(z: complex, ell: int) -> tuple[np.ndarray, np.ndarray]:
 
         eta(x) = -sum_i e_tail[i] x^{ell+1+i} - x^{2 alpha} |p(1-x)|^2.
     """
-    from .special import complex_binomial
-    from .symbol import _taylor_coefficients
-
     t = np.asarray(_taylor_coefficients(z, ell))
     b = np.convolve(t, np.conj(t)).real
     m_max = ell + 40
-    w = np.array([complex_binomial(2.0 * z.real, j).real * (-1.0) ** j for j in range(m_max + 1)])
+    w = np.array([_binomial(2.0 * z.real, j).real * (-1.0) ** j for j in range(m_max + 1)])
     e = np.convolve(w, b)[: m_max + 1]
     e_tail = e[ell + 1 :].copy()
     pr = np.polynomial.Polynomial(t)(np.polynomial.Polynomial([1.0, -1.0])).coef
@@ -163,8 +174,7 @@ def eval_sigma(order: PseudoSplineOrder, gamma):
     far = ~near
     if np.any(far):
         xf = x[far]
-        eta_far = 1.0 - _abs_q_squared(order, xf) - _abs_q_squared(order, 1.0 - xf)
-        ratio[far] = eta_far / (4.0 * xf * (1.0 - xf)) ** (order.ell + 1)
+        ratio[far] = _eta(order, xf) / (4.0 * xf * (1.0 - xf)) ** (order.ell + 1)
     ratio = np.maximum(ratio, 0.0)
     factor = 0.5 * (1.0 - np.exp(4j * np.pi * arr))
     out = factor ** (order.ell + 1) * np.sqrt(ratio)
@@ -503,13 +513,15 @@ def analyze_multilevel(
     """Recursive analysis on the lowpass channel.
 
     Returns (details, approx): per level the three detail subbands
-    (coarsest last), plus the final lowpass subband.
+    (coarsest last), plus the final lowpass subband.  Needs 2**(levels+1)
+    samples, so every subband has at least two, as analyze's do.
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
-    if signal.length < 2**levels * 4:
+    need = 2 ** (levels + 1)
+    if signal.length < need:
         raise ResolutionError(
-            f"signal length {signal.length} too short for {levels} levels (need >= {2**levels * 4})"
+            f"signal length {signal.length} too short for {levels} levels (need >= {need})"
         )
     return _analysis(_tap_spectra(bank, signal.length), signal.samples, levels)
 

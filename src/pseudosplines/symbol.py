@@ -33,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, OrderError, ResolutionError
-from .special import complex_binomial
 
 __all__ = [
     "PseudoSplineOrder",
@@ -142,16 +141,37 @@ class PseudoSplineOrder:
         return txt
 
 
+def _binomial(a: complex, k: int) -> complex:
+    """binom(a, k) = a (a-1) ... (a-k+1) / k! for complex a and integer k >= 0.
+
+    The first min(k, 32) factors are multiplied and divided by their
+    factorial; each further factor enters as (a - j) / (j + 1), so nothing
+    overflows before the result itself does.  A non-finite result raises
+    OrderError.
+    """
+    a = complex(a)
+    head = min(k, 32)
+    num = 1.0 + 0.0j
+    for j in range(head):
+        num *= a - j
+    out = num / math.factorial(head)
+    for j in range(head, k):
+        out *= (a - j) / (j + 1)
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise OrderError(f"binomial C(a, k) overflows double precision for a = {a!r}, k = {k}")
+    return out
+
+
 @lru_cache(maxsize=256)
 def _definition_coefficients(z: complex, ell: int) -> np.ndarray:
-    c = np.array([complex_binomial(z + ell, k) for k in range(ell + 1)], dtype=complex)
+    c = np.array([_binomial(z + ell, k) for k in range(ell + 1)], dtype=complex)
     c.setflags(write=False)
     return c
 
 
 @lru_cache(maxsize=256)
 def _taylor_coefficients(z: complex, ell: int) -> np.ndarray:
-    c = np.array([complex_binomial(z - 1 + k, k) for k in range(ell + 1)], dtype=complex)
+    c = np.array([_binomial(z - 1 + k, k) for k in range(ell + 1)], dtype=complex)
     c.setflags(write=False)
     return c
 
@@ -278,7 +298,7 @@ def eval_q_prime(order: PseudoSplineOrder, x):
     arr, scalar = _as_array(x)
     _check_unit_interval(arr, closed_right=False)
     z, ell = order.z, order.ell
-    lead = -(z + ell) * complex_binomial(z - 1 + ell, ell)
+    lead = -(z + ell) * complex(order.taylor_coefficients()[-1])
     out = lead * arr**ell * np.exp((z - 1.0) * np.log1p(-arr))
     out = np.asarray(out, dtype=complex)
     return complex(out[()]) if scalar else out

@@ -38,6 +38,16 @@ def test_filter_rejects_an_out_of_range_order(tmp_path, capsys):
     assert "floor(alpha - 1/2) = 1" in err
 
 
+def test_filter_order_with_overflowing_binomials_is_an_order_error(tmp_path, capsys):
+    rc, _, err = run(
+        ["filter", "--z", "392.6932320304626-995.4280421620423i", "--ell", "379"],
+        tmp_path,
+        capsys,
+    )
+    assert rc == 2
+    assert err.startswith("error: binomial C(a, k) overflows double precision for a = ")
+
+
 def test_filter_emits_requested_bands(tmp_path, capsys):
     rc, _, _ = run(
         ["filter", "--z", "2", "--ell", "1", "--grid", "256", "--bands", "0,1,2,3"],
@@ -227,6 +237,20 @@ def test_transform_multilevel(tmp_path, capsys):
     assert err < 1e-5
     assert (tmp_path / "subband_approx.csv").exists()
     assert (tmp_path / "subband_l3_n3.csv").exists()
+
+
+def test_transform_one_level_of_a_four_sample_signal(tmp_path, capsys):
+    bank, signal = make_bank_and_signal(tmp_path, capsys, length=4)
+    rc, out, _ = run(
+        ["transform", "--bank", str(bank), "--input", str(signal),
+         "--levels", "1", "--roundtrip"],
+        tmp_path,
+        capsys,
+    )
+    assert rc == 0
+    err = float(out.split("roundtrip_relative_error=")[1].splitlines()[0])
+    assert err < 1e-6
+    assert len((tmp_path / "subband_n0.csv").read_text().splitlines()) == 3
 
 
 def test_transform_requires_bank_and_input(tmp_path, capsys):

@@ -304,9 +304,22 @@ def test_perfect_reconstruction_multilevel():
 def test_multilevel_guards():
     sig = frames.PeriodicSignal(np.ones(16))
     with pytest.raises(ResolutionError):
-        frames.analyze_multilevel(BANK_15_0, sig, 3)
+        frames.analyze_multilevel(BANK_15_0, sig, 4)
     with pytest.raises(DomainError):
         frames.analyze_multilevel(BANK_15_0, sig, 0)
+
+
+@pytest.mark.parametrize("length, levels", [(4, 1), (8, 2), (16, 3)])
+def test_multilevel_runs_down_to_two_samples_per_subband(length, levels):
+    rng = np.random.default_rng(length)
+    sig = frames.PeriodicSignal(rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    details, approx = frames.analyze_multilevel(BANK_15_0, sig, levels)
+    assert len(approx) == 2 and all(len(s) == 2 for s in details[-1])
+    if levels == 1:
+        one = frames.analyze(BANK_15_0, sig)
+        assert all(np.array_equal(a, b) for a, b in zip(one, [approx, *details[0]]))
+    back = frames.synthesize_multilevel(BANK_15_0, details, approx).samples
+    assert np.linalg.norm(back - sig.samples) <= 1e-9 * np.linalg.norm(sig.samples)
 
 
 def test_synthesize_validates_subband_shapes():

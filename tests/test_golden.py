@@ -1,0 +1,78 @@
+"""Golden-output gate: scripts/reproduce_figures.py against a checked-in reference.
+
+The reference in data/golden_figures.json holds the sha256 of every JSON and
+frequency-domain CSV file, and every STRIDE-th row of the 16 time-domain CSV
+files with their row counts.  The former must match exactly; sampled
+time-domain values may move by at most 1e-13 relative to the file's largest
+sampled magnitude, the rounding the speedup contract allows.
+
+A change that moves a value past that limit regenerates the reference with
+    PYTHONPATH=src python tests/test_golden.py
+and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import pathlib
+import runpy
+import sys
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "reproduce_figures.py"
+REFERENCE = pathlib.Path(__file__).resolve().parent / "data" / "golden_figures.json"
+STRIDE = 16
+RTOL = 1e-13
+TIME_DOMAIN = {"cascade_phi_time.csv", "framelet_psi_n1.csv", "framelet_psi_n2.csv", "framelet_psi_n3.csv"}
+
+
+def reproduce(outdir: pathlib.Path) -> None:
+    argv = sys.argv
+    sys.argv = [str(SCRIPT), "--outdir", str(outdir)]
+    try:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    except SystemExit as exc:
+        assert not exc.code, f"reproduce_figures exited {exc.code}"
+    finally:
+        sys.argv = argv
+
+
+def summarize(outdir: pathlib.Path) -> dict:
+    digests, samples = {}, {}
+    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        key = path.relative_to(outdir).as_posix()
+        if path.name in TIME_DOMAIN:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            samples[key] = {"rows": len(rows), "sample": rows[::STRIDE].tolist()}
+        else:
+            digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"stride": STRIDE, "sha256": digests, "time_domain": samples}
+
+
+def test_reproduce_figures_matches_the_golden_reference(tmp_path, capsys):
+    reference = json.loads(REFERENCE.read_text())
+    reproduce(tmp_path)
+    capsys.readouterr()
+    got = summarize(tmp_path)
+    assert reference["stride"] == STRIDE
+    assert got["sha256"] == reference["sha256"]
+    assert sorted(got["time_domain"]) == sorted(reference["time_domain"])
+    for key, ref in reference["time_domain"].items():
+        new = got["time_domain"][key]
+        assert new["rows"] == ref["rows"], key
+        expected, actual = np.array(ref["sample"]), np.array(new["sample"])
+        np.testing.assert_array_equal(actual[:, 0], expected[:, 0], err_msg=key)
+        scale = float(np.max(np.abs(expected[:, 1:])))
+        np.testing.assert_allclose(actual[:, 1:], expected[:, 1:], rtol=0.0, atol=RTOL * scale, err_msg=key)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        reproduce(pathlib.Path(tmp))
+        summary = summarize(pathlib.Path(tmp))
+    REFERENCE.parent.mkdir(exist_ok=True)
+    REFERENCE.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {REFERENCE}")

@@ -41,6 +41,6 @@ def test_public_surface_is_the_quickstart_plus_the_error_types():
         for name, obj in vars(errors).items()
         if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
     ]
-    assert len(imported) == 14 and len(error_types) == 11
+    assert len(imported) == 14 and len(error_types) == 10
     assert sorted(pseudosplines.__all__) == sorted(imported + error_types + ["__version__"])
     assert all(hasattr(pseudosplines, name) for name in pseudosplines.__all__)

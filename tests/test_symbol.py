@@ -1,15 +1,19 @@
-"""Refinement symbol: order validation, closed forms, partition bounds, shifts."""
+"""Refinement symbol: binomials, order validation, closed forms, partition bounds, shifts."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from pseudosplines.errors import OrderError, ResolutionError
 from pseudosplines.symbol import (
     PseudoSplineOrder,
     TorusGrid,
+    _binomial,
     eval_H0,
     eval_p,
     eval_q,
@@ -23,6 +27,87 @@ from pseudosplines.symbol import (
 )
 
 GRID = TorusGrid(4096)
+
+
+# ---------------------------------------------------------------- binomials
+
+
+def falling_factorial_quotient(a, k):
+    num = 1.0 + 0.0j
+    for j in range(k):
+        num *= a - j
+    return num / math.factorial(k)
+
+
+def test_binomial_integer_values():
+    assert _binomial(5, 2) == 10
+    assert _binomial(6, 0) == 1
+    assert _binomial(2, 3) == 0
+    # past 32 factors an integer a < k still hits an exact zero factor
+    assert _binomial(4.0, 34) == 0
+    assert _binomial(40.0, 34) == pytest.approx(scipy.special.binom(40, 34), rel=1e-12)
+
+
+def test_binomial_matches_scipy_for_real_orders():
+    rng = np.random.default_rng(13)
+    for a in rng.uniform(0.3, 9.0, 50):
+        for k in (0, 1, 2, 3, 5, 8):
+            ref = scipy.special.binom(a, k)
+            assert _binomial(a, k).real == pytest.approx(ref, rel=1e-12)
+            assert abs(_binomial(a, k).imag) < 1e-13
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.complex_numbers(max_magnitude=400.0, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=0, max_value=32),
+)
+def test_binomial_is_the_plain_product_up_to_32_factors(a, k):
+    assert _binomial(a, k) == falling_factorial_quotient(complex(a), k)
+
+
+@pytest.mark.parametrize(
+    "a", [0.37, 17.25, 123.456, 299.9, 3.2 + 1.0j, 150.5 - 75.25j, 212.1 + 212.1j, 0.5 - 300.0j]
+)
+def test_binomial_matches_exact_rationals(a):
+    # exact binom(a, k) of the float a, by the ratio recurrence in Fractions
+    a = complex(a)
+    re, im = Fraction(a.real), Fraction(a.imag)
+    exact_re, exact_im = Fraction(1), Fraction(0)
+    for k in range(251):
+        exact = complex(float(exact_re), float(exact_im))
+        assert abs(_binomial(a, k) - exact) <= 1e-14 * abs(exact), k
+        fr, fi = re - k, im
+        exact_re, exact_im = (
+            (exact_re * fr - exact_im * fi) / (k + 1),
+            (exact_re * fi + exact_im * fr) / (k + 1),
+        )
+
+
+def test_binomial_tiny_real_argument():
+    a = 3.6e-248
+    assert _binomial(a, 33) == pytest.approx(a / 33.0, rel=1e-12)
+
+
+def test_binomial_overflow_is_an_order_error():
+    # binom(2000, 1000) ~ 2e600; the message names a and k
+    with pytest.raises(OrderError, match=r"a = \(2000\+0j\), k = 1000"):
+        _binomial(2000.0, 1000)
+    # a plain product over k! would overflow here; the ratio factors do not
+    order = PseudoSplineOrder(322.2, 166)
+    assert np.all(np.isfinite(order.definition_coefficients()))
+    assert np.all(np.isfinite(order.taylor_coefficients()))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.complex_numbers(min_magnitude=0.0, max_magnitude=15.0, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=1, max_value=40),
+)
+def test_binomial_pascal_recurrence(a, k):
+    lhs = _binomial(a, k)
+    rhs = _binomial(a - 1, k - 1) + _binomial(a - 1, k)
+    assert cmath.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
 
 
 # ---------------------------------------------------------------- orders
