@@ -447,12 +447,42 @@ class PeriodicSignal:
 
 
 def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
-    """(4, length) spectra of the wrapped taps; spectra[:, ::2**j] is exactly
-    the spectrum of the taps folded to length // 2**j, so one set serves every level."""
-    spectra = np.empty((4, length), dtype=complex)
-    for n in range(4):
-        spectra[n] = np.fft.fft(bank.coeffs[n].wrapped(length))
-    return spectra
+    """(4, length) spectra of the taps folded onto a circle of this length.
+
+    spectra[:, ::2**j] is exactly the spectrum of the taps folded to
+    length // 2**j, so one set serves every level.  The four bands span W
+    offsets lo..lo+W-1, so the FFT is pruned: with M = min(N, the power of
+    two >= W), P = N // M and w_N = exp(-2 pi i / N),
+
+        S_n[P k1 + k2] = sum_k c_{n,k} w_N^{k2 k} w_M^{k1 k},
+
+    i.e. for each k2 one length-M FFT over k1 of the taps twiddled by
+    w_N^{k2 k}, each tap in row k mod M of a (4, M, P) array.  One in-place
+    FFT along the rows leaves the bins in natural order.  Taps that wrap
+    (W > N) are the P == 1 case: every twiddle is 1 and the row is the taps
+    folded to length N, as a full-length FFT would take them.
+    """
+    coeffs = [bank.coeffs[n] for n in range(4)]
+    lo = min(c.offset for c in coeffs)
+    width = max(c.offset + len(c.values) for c in coeffs) - lo
+    m = min(length, 1 << (width - 1).bit_length())
+    p = length // m
+    # the offset k of the one tap each row can hold when p > 1 (W <= M; at
+    # p == 1 all twiddles are 1 whatever k is), and its twiddles
+    # w_N^{k (a q + b)} as the product of a (M, P/q) and a (M, q) table,
+    # q ~ sqrt(P): M (P/q + q) complex exponentials instead of M P, with the
+    # phases reduced mod N in integers first
+    ks = lo + (np.arange(m) - lo) % m
+    q = 1 << (p.bit_length() - 1) // 2
+    scale = -2j * np.pi / length
+    outer = np.exp(scale * ((ks[:, None] * (q * np.arange(p // q))) % length))
+    inner = np.exp(scale * ((ks[:, None] * np.arange(q)) % length))[:, None, :]
+    g = np.empty((4, m, p // q, q), dtype=complex)
+    for n, c in enumerate(coeffs):
+        np.multiply((c.wrapped(m)[:, None] * outer)[:, :, None], inner, out=g[n])
+    g = g.reshape(4, m, p)
+    np.fft.fft(g, axis=1, out=g)
+    return g.reshape(4, length)
 
 
 def _analysis(spectra: np.ndarray, samples: np.ndarray, levels: int) -> tuple[list, np.ndarray]:
@@ -476,15 +506,22 @@ def _analysis(spectra: np.ndarray, samples: np.ndarray, levels: int) -> tuple[li
 
 
 def _synthesis(spectra: np.ndarray, details: list, approx: np.ndarray) -> np.ndarray:
-    """Inverse of _analysis: upsampling by two tiles a subband's spectrum, the
+    """Inverse of _analysis: upsampling by two repeats a subband's spectrum,
+    so each product is written into the two halves of one buffer; the
     approximation stays a spectrum, and one inverse FFT ends the call."""
     a_hat = np.fft.fft(approx, axis=-1)
     for j in range(len(details) - 1, -1, -1):
         taps = spectra[:, :: 2**j]
-        acc = np.tile(a_hat, 2) * taps[0]
+        h = a_hat.shape[-1]
+        acc = np.empty(a_hat.shape[:-1] + (2 * h,), dtype=complex)
+        np.multiply(a_hat, taps[0, :h], out=acc[..., :h])
+        np.multiply(a_hat, taps[0, h:], out=acc[..., h:])
         for sub, s in zip(details[j], taps[1:]):
-            acc += np.tile(np.fft.fft(sub, axis=-1), 2) * s
-        a_hat = acc * math.sqrt(2.0)
+            sub_hat = np.fft.fft(sub, axis=-1)
+            acc[..., :h] += sub_hat * s[:h]
+            acc[..., h:] += sub_hat * s[h:]
+        acc *= math.sqrt(2.0)
+        a_hat = acc
     return np.fft.ifft(a_hat, axis=-1)
 
 

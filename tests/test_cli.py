@@ -253,6 +253,33 @@ def test_transform_one_level_of_a_four_sample_signal(tmp_path, capsys):
     assert len((tmp_path / "subband_n0.csv").read_text().splitlines()) == 3
 
 
+def test_transform_of_a_narrow_bank_takes_short_ffts_and_is_deterministic(tmp_path, capsys):
+    # the (2, 1) bank spans 51 offsets, so 4096 samples build the tap spectra
+    # from 64 FFTs of length 64 instead of wrapping the taps
+    rc, _, _ = run(["framelets", "--z", "2", "--ell", "1"], tmp_path, capsys)
+    assert rc == 0
+    coeffs = json.loads((tmp_path / "bank.json").read_text())["coeffs"].values()
+    lo = min(c["offset"] for c in coeffs)
+    assert max(c["offset"] + len(c["values"]) for c in coeffs) - lo == 51
+    rng = np.random.default_rng(52)
+    values = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    write_samples_csv(tmp_path / "signal.csv", "index", np.arange(4096), values)
+    outputs = []
+    for name in ("a", "b"):
+        target = tmp_path / name
+        target.mkdir()
+        rc = cli.main(
+            ["transform", "--bank", str(tmp_path / "bank.json"), "--input",
+             str(tmp_path / "signal.csv"), "--levels", "5", "--roundtrip", "--out", str(target)]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert float(out.split("roundtrip_relative_error=")[1].splitlines()[0]) <= 1e-8
+        outputs.append({p.name: p.read_bytes() for p in sorted(target.glob("*.csv"))})
+    assert len(outputs[0]) == 1 + 3 * 5 + 1
+    assert outputs[0] == outputs[1]
+
+
 def test_transform_requires_bank_and_input(tmp_path, capsys):
     rc, _, err = run(["transform"], tmp_path, capsys)
     assert rc == 2

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pseudosplines import frames
 from pseudosplines.cascade import TimeProfile, run_cascade, to_time_domain
@@ -407,20 +407,77 @@ def test_a_batched_transform_equals_per_row_calls(shape):
 
 @pytest.mark.parametrize("levels", [1, 3, 5])
 def test_tap_spectra_are_built_once_per_call(monkeypatch, levels):
+    # BANK_15_0's 803 offsets round up to M = 1024, so 1024 samples take P = 1
+    # (one length-1024 FFT per band); BANK_32_2's 125 fit in M = 128, so
+    # 4096 samples take P = 32 short FFTs per band
     calls = []
-    original = frames.FilterCoefficients.wrapped
+    original = frames._tap_spectra
 
-    def counting(self, length):
+    def counting(bank, length):
         calls.append(length)
-        return original(self, length)
+        return original(bank, length)
 
-    monkeypatch.setattr(frames.FilterCoefficients, "wrapped", counting)
-    sig = frames.PeriodicSignal(np.arange(1024.0))
-    details, approx = frames.analyze_multilevel(BANK_15_0, sig, levels)
-    assert calls == [1024] * 4
-    calls.clear()
-    frames.synthesize_multilevel(BANK_15_0, details, approx)
-    assert calls == [1024] * 4
+    monkeypatch.setattr(frames, "_tap_spectra", counting)
+    for bank, length in ((BANK_15_0, 1024), (BANK_32_2, 4096)):
+        sig = frames.PeriodicSignal(np.arange(float(length)))
+        details, approx = frames.analyze_multilevel(bank, sig, levels)
+        assert calls == [length]
+        calls.clear()
+        frames.synthesize_multilevel(bank, details, approx)
+        assert calls == [length]
+        calls.clear()
+
+
+def folded_ffts(bank, length):
+    """The reference spectra: one full-length FFT of each band's folded taps."""
+    return np.array([np.fft.fft(bank.coeffs[n].wrapped(length)) for n in range(4)])
+
+
+@pytest.mark.parametrize("length", [4, 16, 64, 1024, 2**16])
+@pytest.mark.parametrize("bank", [BANK_15_0, BANK_32_2], ids=["1.5,0", "3.2+1i,2"])
+def test_tap_spectra_match_the_folded_ffts(bank, length):
+    got = frames._tap_spectra(bank, length)
+    ref = folded_ffts(bank, length)
+    assert got.shape == (4, length)
+    for n in range(4):
+        assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
+
+
+def coefficient_bank(lo, width, seed):
+    """A coefficient-only bank whose four bands span exactly lo..lo+width-1:
+    band 0 covers the whole span, bands 1-3 random runs inside it."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for n in range(4):
+        start = 0 if n == 0 else int(rng.integers(0, width))
+        size = width if n == 0 else int(rng.integers(1, width - start + 1))
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        coeffs[n] = frames.FilterCoefficients(
+            band=n, offset=lo + start, values=values, tail_norm=0.0, aliasing_estimate=0.0
+        )
+    return frames.FrameletBank(
+        order=PseudoSplineOrder(1.5, 0), grid=TorusGrid(64), H=None, coeffs=coeffs, truncation_eps=1e-10
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    log_length=st.integers(min_value=2, max_value=10),
+    width=st.one_of(st.integers(min_value=1, max_value=300), st.sampled_from([2**k for k in range(9)])),
+    lo=st.integers(min_value=-400, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(log_length=10, width=125, lo=-62, seed=0)  # W < L, P = 8
+@example(log_length=8, width=64, lo=-3, seed=1)  # W a power of two, P = 4
+@example(log_length=7, width=128, lo=5, seed=2)  # W == L, P = 1
+@example(log_length=2, width=300, lo=-299, seed=3)  # W > L: the taps wrap
+def test_tap_spectra_match_the_folded_ffts_for_any_support(log_length, width, lo, seed):
+    bank = coefficient_bank(lo, width, seed)
+    length = 2**log_length
+    got = frames._tap_spectra(bank, length)
+    ref = folded_ffts(bank, length)
+    for n in range(4):
+        assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
 
 
 def test_multilevel_synthesis_validates_subband_shapes():
