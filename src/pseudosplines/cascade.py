@@ -6,8 +6,20 @@ The iterates are
                        prod_{j=1}^{m} H0(2^{-j} gamma),
 
 starting from phi_hat_0 = indicator([-1/2, 1/2]).  Each level multiplies one
-more dilated symbol onto a running product held on a fixed uniform grid; no
-interpolation is ever used (2^{-j} gamma is evaluated directly).
+more dilated symbol onto a running product held on a fixed uniform grid
+gamma_k = k*step; no interpolation is ever used.  Each dilated symbol value
+is evaluated once, from two exact facts:
+
+- symmetry: the unshifted H0 depends only on sin^2(pi gamma) and
+  (-k)*step = -(k*step), so the product is symmetric bit for bit and the
+  iteration runs on k = 0..M alone, mirrored once at the end;
+- dyadic reuse: (2i*step) * 2^{-m} equals (i*step) * 2^{-(m-1)} bit for bit,
+  since doubling and halving are exact, so H0 at the even k of level m is
+  the previous level's H0 at i = k/2, and only the odd k are evaluated.
+
+Level 1 evaluates M+1 points and each later level (M+1)//2, instead of
+2M+1 per level.  The values are those of evaluating every 2^{-j} gamma_k
+directly, bit for bit.
 
 Diagnostics record, per level, the sup-norm change against the previous
 iterate and a trapezoidal L2 norm taken over the level's support interval;
@@ -162,11 +174,16 @@ def _support_mask(gammas: np.ndarray, bound: float, step: float) -> np.ndarray:
     return np.abs(gammas) <= bound + 1e-9 * step
 
 
-def _support_l2(gammas: np.ndarray, values: np.ndarray, bound: float, step: float) -> float:
-    """Trapezoidal L2 norm over [-bound, bound] intersected with the grid."""
-    sel = np.nonzero(_support_mask(gammas, bound, step))[0]
-    sq = np.abs(values[sel]) ** 2
-    w = np.ones(len(sel))
+def _support_l2(half: np.ndarray, values: np.ndarray, bound: float, step: float) -> float:
+    """Trapezoidal L2 norm over [-bound, bound] intersected with the grid.
+
+    `values` are given on the half grid `half` = k*step, k >= 0, of an
+    iterate symmetric about 0; the sum runs over the mirrored full-length
+    samples, so it rounds exactly as the sum over the full grid does.
+    """
+    sq = np.abs(values[_support_mask(half, bound, step)]) ** 2
+    sq = np.concatenate((sq[:0:-1], sq))
+    w = np.ones(len(sq))
     w[0] = 0.5
     w[-1] = 0.5
     return float(math.sqrt(np.sum(w * sq) * step))
@@ -187,28 +204,43 @@ def run_cascade(
     recorded if the sup changes fail to decrease over the last three levels.
     A shifted order iterates its unshifted order and applies the exact
     phase exp(-2 pi i u gamma) to the result.
+
+    The iteration runs on the half grid k = 0..M and reuses the previous
+    level's symbol values at even k (see the module docstring); sup changes
+    and moduli are maxima, equal over either half, and each L2 norm sums the
+    mirrored full-length samples, so values and diagnostics are bit for bit
+    those of the full-grid iteration.
     """
     if levels != int(levels) or int(levels) < 1:
         raise WindowError(f"levels must be a positive integer, got {levels!r}")
     levels = int(levels)
     g = _grid(window, step)
-    extent = float(np.max(g))
+    half = g[(len(g) - 1) // 2 :]
+    extent = float(half[-1])
+    base = order.unshifted
     diag = CascadeDiagnostics(levels=0, sup_tolerance=float(sup_tolerance))
 
-    prev = _support_mask(g, 0.5, step).astype(complex)
-    diag.l2_norms.append(_support_l2(g, prev, 0.5, step))
+    prev = _support_mask(half, 0.5, step).astype(complex)
+    diag.l2_norms.append(_support_l2(half, prev, 0.5, step))
     diag.max_modulus = float(np.max(np.abs(prev)))
 
-    prod = np.ones(len(g), dtype=complex)
+    prod = np.ones(len(half), dtype=complex)
     current = prev
     level_done = 0
     for m in range(1, levels + 1):
-        prod = prod * eval_H0(order.unshifted, g * 0.5**m)
+        if m == 1:
+            h = eval_H0(base, half * 0.5)
+        else:
+            even = h[: (len(half) + 1) // 2]
+            h = np.empty(len(half), dtype=complex)
+            h[0::2] = even
+            h[1::2] = eval_H0(base, half[1::2] * 0.5**m)
+        prod = prod * h
         current = prod.copy()
         bound = min(2.0 ** (m - 1), extent)
-        current[~_support_mask(g, bound, step)] = 0.0
+        current[~_support_mask(half, bound, step)] = 0.0
         diag.sup_changes.append(float(np.max(np.abs(current - prev))))
-        diag.l2_norms.append(_support_l2(g, current, bound, step))
+        diag.l2_norms.append(_support_l2(half, current, bound, step))
         diag.max_modulus = max(diag.max_modulus, float(np.max(np.abs(current))))
         level_done = m
         prev = current
@@ -227,6 +259,7 @@ def run_cascade(
             )
             warnings.warn(diag.warning, RuntimeWarning, stacklevel=2)
 
+    current = np.concatenate((current[:0:-1], current))
     if order.shift != 0.0:
         current = current * np.exp(-2j * np.pi * order.shift * g)
     profile = FourierProfile(order, level_done, extent, step, current)

@@ -11,6 +11,7 @@ parameters, 3 verification failure, 4 unattainable tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -109,11 +110,15 @@ def _emit(path: str) -> None:
     sys.stdout.write(f"wrote {path}\n")
 
 
-def _write_series(ns, stem: str, axis_name: str, axis, values, json_obj=None) -> str:
+def _write_series(ns, stem: str, axis_name: str, axis, values, to_json=None) -> str:
+    """Write one series as CSV, or as JSON when --format json and `to_json` is given.
+
+    `to_json` builds the JSON object on demand, so CSV writes never build it.
+    """
     outdir = _outdir(ns)
-    if ns.format == "json" and json_obj is not None:
+    if ns.format == "json" and to_json is not None:
         path = os.path.join(outdir, stem + ".json")
-        write_json(path, json_obj)
+        write_json(path, to_json())
     else:
         path = os.path.join(outdir, stem + ".csv")
         write_samples_csv(path, axis_name, axis, values)
@@ -164,10 +169,9 @@ def cmd_filter(ns: argparse.Namespace) -> int:
         symbols = {b: bank.symbol(b) for b in bands}
     for band in bands:
         sym = symbols[band]
-        obj = symbol_to_dict(sym)
-        if band != 0:
-            obj["band"] = band
-        _write_series(ns, f"filter_h{band}", "gamma", grid.gamma, sym.values, obj)
+        extra = {"band": band} if band != 0 else {}
+        _write_series(ns, f"filter_h{band}", "gamma", grid.gamma, sym.values,
+                      lambda: {**symbol_to_dict(sym), **extra})
     return 0
 
 
@@ -181,7 +185,7 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
         step=step,
         sup_tolerance=float(ns.sup_tolerance),
     )
-    _write_series(ns, "cascade_phihat", "gamma", profile.gammas, profile.values, profile.to_dict())
+    _write_series(ns, "cascade_phihat", "gamma", profile.gammas, profile.values, profile.to_dict)
     outdir = _outdir(ns)
     diag_path = os.path.join(outdir, "cascade_diagnostics.json")
     write_json(diag_path, diag.to_dict())
@@ -194,7 +198,7 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
             step=_to_step(ns.dt),
             tolerance=float(ns.time_tolerance),
         )
-        _write_series(ns, "cascade_phi_time", "t", tp.ts, tp.values, tp.to_dict())
+        _write_series(ns, "cascade_phi_time", "t", tp.ts, tp.values, tp.to_dict)
         sys.stdout.write(f"tail_estimate={format_float(tp.tail_estimate)}\n")
     return 0
 
@@ -231,13 +235,15 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
         gammas = (np.arange(2 * count + 1) - count) * step
         for n in (1, 2, 3):
             values = frames.framelet_hat(bank, profile, n, gammas)
-            obj = {
-                "order": order_to_dict(order),
-                "band": n,
-                "step": step,
-                "values": [[v.real, v.imag] for v in values],
-            }
-            _write_series(ns, f"framelet_psihat_n{n}", "gamma", gammas, values, obj)
+            _write_series(
+                ns, f"framelet_psihat_n{n}", "gamma", gammas, values,
+                lambda: {
+                    "order": order_to_dict(order),
+                    "band": n,
+                    "step": step,
+                    "values": [[v.real, v.imag] for v in values],
+                },
+            )
     if ns.with_time:
         phi = to_time_domain(
             profile,
@@ -247,7 +253,7 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
         )
         for n in (1, 2, 3):
             psi = frames.framelet_time(bank, phi, n)
-            _write_series(ns, f"framelet_psi_n{n}", "t", psi.ts, psi.values, psi.to_dict())
+            _write_series(ns, f"framelet_psi_n{n}", "t", psi.ts, psi.values, psi.to_dict)
     return 0
 
 
@@ -429,7 +435,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--bands", default="0", help="comma list of bands to write, subset of 0,1,2,3")
     sub.add_argument("--eps", type=float, default=1e-10)
     sub.add_argument("--max-k", type=int, default=None)
-    sub.set_defaults(func=cmd_filter)
     subs["filter"] = sub
 
     sub = subparsers.add_parser("cascade", help="run the Fourier-domain cascade")
@@ -439,7 +444,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--time-half-width", type=float, default=None, help="also write phi on [-w, w]")
     sub.add_argument("--dt", default="1/32", help="time grid step")
     sub.add_argument("--time-tolerance", type=float, default=1e-3)
-    sub.set_defaults(func=cmd_cascade)
     subs["cascade"] = sub
 
     sub = subparsers.add_parser("framelets", help="build the framelet filter bank")
@@ -455,7 +459,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--time-half-width", type=float, default=8.0)
     sub.add_argument("--dt", default="1/32", help="time grid step")
     sub.add_argument("--time-tolerance", type=float, default=1e-2)
-    sub.set_defaults(func=cmd_framelets)
     subs["framelets"] = sub
 
     sub = subparsers.add_parser("transform", help="analyze/synthesize a periodic signal")
@@ -464,7 +467,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--input", default=None, help="signal CSV (index,re,im,abs)")
     sub.add_argument("--levels", type=int, default=1)
     sub.add_argument("--roundtrip", action="store_true", help="also synthesize and report the error")
-    sub.set_defaults(func=cmd_transform)
     subs["transform"] = sub
 
     sub = subparsers.add_parser("verify", help="run the verification suites")
@@ -478,7 +480,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--signal-length", type=int, default=1024)
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--tolerance-scale", type=float, default=1.0)
-    sub.set_defaults(func=cmd_verify)
     subs["verify"] = sub
 
     sub = subparsers.add_parser("analyze", help="compute exponents and fitted diagnostics")
@@ -486,7 +487,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_order(sub)
     _add_cascade_opts(sub)
     sub.add_argument("--no-fits", action="store_true", help="skip cascade-based fits")
-    sub.set_defaults(func=cmd_analyze)
     subs["analyze"] = sub
 
     sub = subparsers.add_parser("sweep", help="tabulate bounds and reports over many orders")
@@ -497,10 +497,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--frames-grid", type=int, default=None)
     sub.add_argument("--eps", type=float, default=1e-10)
     sub.add_argument("--with-fits", action="store_true")
-    sub.set_defaults(func=cmd_sweep)
     subs["sweep"] = sub
 
     return parser, subs
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without --config, built once per process.
+
+    parse_args leaves a parser unchanged, so calls can share it; a --config
+    call changes subparser defaults and builds its own parser instead.
+    """
+    return build_parser()[0]
 
 
 def _find_config_path(argv: list[str]) -> str | None:
@@ -537,9 +546,11 @@ def _fail(exc: BaseException, code: int) -> int:
 
 def main(argv=None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subs = build_parser()
     config_path = _find_config_path(args)
-    if config_path is not None:
+    if config_path is None:
+        parser = _shared_parser()
+    else:
+        parser, subs = build_parser()
         try:
             _apply_config(subs, config_path)
         except OSError as exc:
@@ -547,8 +558,11 @@ def main(argv=None) -> int:
         except (json.JSONDecodeError, PseudoSplineError) as exc:
             return _fail(exc, 2)
     ns = parser.parse_args(args)
+    # looked up on each call, not stored in the shared parser, so that a
+    # command function replaced on this module is the one that runs
+    command = globals()[f"cmd_{ns.command}"]
     try:
-        return ns.func(ns)
+        return command(ns)
     except ToleranceError as exc:
         return _fail(exc, 4)
     except (VerificationFailure, ConsistencyError, ConditionError) as exc:

@@ -1,18 +1,22 @@
 """Fourier-domain cascade: convergence, oracles, and time-domain inversion."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pseudosplines import cli
+from pseudosplines import cascade, cli
 from pseudosplines.errors import GridCompatibilityError, ToleranceError
 from pseudosplines.cascade import (
+    CascadeDiagnostics,
     fourier_to_time,
     refinement_residual,
     run_cascade,
     to_time_domain,
 )
-from pseudosplines.symbol import PseudoSplineOrder, max_ell
+from pseudosplines.symbol import PseudoSplineOrder, eval_H0, max_ell
 
 
 def sinc_sq(gamma, power):
@@ -172,3 +176,110 @@ def test_l2_monotone_property(alpha, ell_pick):
     _, diag = run_cascade(order, levels=12, window=16.0, step=1.0 / 16)
     assert diag.l2_monotone
     assert max(diag.l2_norms) <= 1.0 + 1e-10
+
+
+def full_grid_cascade(order, levels, window, step, sup_tolerance):
+    """The cascade iterated on the full grid, with H0 evaluated at every 2^-m gamma_k.
+
+    This is the loop run_cascade replaced by its half-grid iteration with
+    dyadic reuse; the two must agree bit for bit.
+    """
+    count = int(round(window / step))
+    g = (np.arange(2 * count + 1) - count) * step
+    extent = float(np.max(g))
+    diag = CascadeDiagnostics(levels=0, sup_tolerance=float(sup_tolerance))
+
+    def mask(bound):
+        return np.abs(g) <= bound + 1e-9 * step
+
+    def l2(values, bound):
+        sel = np.nonzero(mask(bound))[0]
+        sq = np.abs(values[sel]) ** 2
+        w = np.ones(len(sel))
+        w[0] = 0.5
+        w[-1] = 0.5
+        return float(math.sqrt(np.sum(w * sq) * step))
+
+    prev = mask(0.5).astype(complex)
+    diag.l2_norms.append(l2(prev, 0.5))
+    diag.max_modulus = float(np.max(np.abs(prev)))
+    prod = np.ones(len(g), dtype=complex)
+    for m in range(1, levels + 1):
+        prod = prod * eval_H0(order.unshifted, g * 0.5**m)
+        current = prod.copy()
+        bound = min(2.0 ** (m - 1), extent)
+        current[~mask(bound)] = 0.0
+        diag.sup_changes.append(float(np.max(np.abs(current - prev))))
+        diag.l2_norms.append(l2(current, bound))
+        diag.max_modulus = max(diag.max_modulus, float(np.max(np.abs(current))))
+        diag.levels = m
+        prev = current
+        if diag.sup_changes[-1] < sup_tolerance:
+            diag.converged = True
+            diag.converged_level = m
+            break
+    if not diag.converged and len(diag.sup_changes) >= 4:
+        tail = diag.sup_changes[-4:]
+        if all(b >= a for a, b in zip(tail[:-1], tail[1:])):
+            diag.warning = (
+                "sup-norm change did not decrease over the last 3 levels; "
+                "the iteration has not settled at this grid"
+            )
+    if order.shift != 0.0:
+        current = current * np.exp(-2j * np.pi * order.shift * g)
+    return current, diag
+
+
+# odd M = 3 and even M = 256
+GRIDS = [(3.0, 1.0), (16.0, 1.0 / 16)]
+# (levels, sup_tolerance): one level, the default stop, and a cap whose
+# zero tolerance runs on until the sup changes stop decreasing (warning path)
+STOPS = [(1, 1e-10), (24, 1e-10), (60, 0.0)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(min_value=1.0, max_value=8.0),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.integers(min_value=0, max_value=7),
+    st.one_of(st.just(0.0), st.floats(min_value=-4.0, max_value=4.0), st.just(1e6)),
+    st.sampled_from(GRIDS),
+    st.sampled_from(STOPS),
+)
+@example(3.2, 1.0, 2, 0.5, GRIDS[1], STOPS[2])
+@example(8.0, -10.0, 7, 1e6, GRIDS[0], STOPS[0])
+def test_half_grid_cascade_equals_the_full_grid_loop(alpha, beta, ell_pick, shift, grid, stop):
+    order = PseudoSplineOrder(complex(alpha, beta), ell_pick % (max_ell(alpha) + 1), shift)
+    (window, step), (levels, tol) = grid, stop
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        profile, diag = run_cascade(order, levels=levels, window=window, step=step, sup_tolerance=tol)
+    values, ref = full_grid_cascade(order, levels, window, step, tol)
+    assert np.array_equal(profile.values, values)
+    assert profile.level_m == ref.levels
+    assert diag.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"window": 3.0, "step": 1.0, "levels": 60, "sup_tolerance": 0.0},
+        {"window": 16.0, "step": 1.0 / 16, "levels": 1},
+        {"window": 4.0, "step": 1.0 / 8},
+    ],
+)
+def test_each_dilated_symbol_point_is_evaluated_once(kwargs, monkeypatch):
+    seen = []
+
+    def counting(order, gamma):
+        seen.append(np.size(gamma))
+        return eval_H0(order, gamma)
+
+    monkeypatch.setattr(cascade, "eval_H0", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        profile, diag = run_cascade(PseudoSplineOrder(3.2 + 1.0j, 2, shift=0.5), **kwargs)
+    m = (len(profile.values) - 1) // 2
+    assert len(seen) == diag.levels
+    assert sum(seen) == (m + 1) + (diag.levels - 1) * ((m + 1) // 2)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from pseudosplines import cli
-from pseudosplines.serialize import write_samples_csv
+from pseudosplines import cli, frames
+from pseudosplines.cascade import run_cascade, to_time_domain
+from pseudosplines.serialize import dump_json, order_to_dict, symbol_to_dict, write_samples_csv
+from pseudosplines.symbol import PseudoSplineOrder, TorusGrid
 
 
 def run(args, tmp_path, capsys, env=None, monkeypatch=None):
@@ -331,6 +333,30 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert len((tmp_path / "filter_h0.csv").read_text().splitlines()) == 129
 
 
+def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"z": "1.5", "ell": 1, "grid": 256}))
+    plain, configured, after = tmp_path / "plain", tmp_path / "configured", tmp_path / "after"
+    assert run(["filter", "--z", "2"], plain, capsys)[0] == 0
+    assert run(["filter", "--config", str(config)], configured, capsys)[0] == 0
+    assert len((configured / "filter_h0.csv").read_text().splitlines()) == 257
+    # the built-in defaults again: no z, ell 0, grid 1024
+    rc, _, err = run(["filter"], after, capsys)
+    assert rc == 2
+    assert "order parameter z is required" in err
+    assert run(["filter", "--z", "2"], after, capsys)[0] == 0
+    assert (after / "filter_h0.csv").read_bytes() == (plain / "filter_h0.csv").read_bytes()
+    assert len((after / "filter_h0.csv").read_text().splitlines()) == 1025
+
+
+def test_the_shared_parser_dispatches_to_the_module_command_functions(tmp_path, capsys, monkeypatch):
+    assert run(["filter", "--z", "2"], tmp_path, capsys)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_filter", lambda ns: seen.append(ns.z) or 0)
+    assert run(["filter", "--z", "3"], tmp_path, capsys)[0] == 0
+    assert seen == ["3"]
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"z": "1", "elll": 0}))
@@ -364,3 +390,34 @@ def test_json_format_filter_output(tmp_path, capsys):
     assert rc == 0
     obj = json.loads((tmp_path / "filter_h0.json").read_text())
     assert obj["order"]["ell"] == 0
+
+
+def test_json_series_hold_the_objects_the_library_builds(tmp_path, capsys):
+    order = PseudoSplineOrder(3.2 + 1.0j, 2)
+    args = ["--z", "3.2+1i", "--ell", "2", "--format", "json"]
+    assert run(["filter", *args, "--grid", "1024", "--bands", "0,1"], tmp_path, capsys)[0] == 0
+    assert run(["cascade", *args, "--time-half-width", "4"], tmp_path, capsys)[0] == 0
+    assert run(["framelets", *args, "--grid", "1024", "--with-hats", "--psi-window", "2",
+                "--with-time", "--time-half-width", "4"], tmp_path, capsys)[0] == 0
+
+    expected = {}
+    bank = frames.build_bank(order, TorusGrid(1024))
+    expected["filter_h0"] = symbol_to_dict(bank.symbol(0))
+    expected["filter_h1"] = {**symbol_to_dict(bank.symbol(1)), "band": 1}
+    profile, _ = run_cascade(order)
+    expected["cascade_phihat"] = profile.to_dict()
+    expected["cascade_phi_time"] = to_time_domain(profile, half_width=4.0, step=1 / 32).to_dict()
+    gammas = (np.arange(257) - 128) / 64
+    phi = to_time_domain(profile, half_width=4.0, step=1 / 32, tolerance=1e-2)
+    for n in (1, 2, 3):
+        values = frames.framelet_hat(bank, profile, n, gammas)
+        expected[f"framelet_psihat_n{n}"] = {
+            "order": order_to_dict(order),
+            "band": n,
+            "step": 1 / 64,
+            "values": [[v.real, v.imag] for v in values],
+        }
+        expected[f"framelet_psi_n{n}"] = frames.framelet_time(bank, phi, n).to_dict()
+    for stem, obj in expected.items():
+        assert (tmp_path / f"{stem}.json").read_text() == dump_json(obj), stem
+    assert not list(tmp_path.glob("*.csv"))

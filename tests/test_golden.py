@@ -1,12 +1,19 @@
-"""Golden-output gate: scripts/reproduce_figures.py against a checked-in reference.
+"""Golden-output gates: checked-in references for the figures and cascade runs.
 
 The reference in data/golden_figures.json holds the sha256 of every JSON and
-frequency-domain CSV file, and every STRIDE-th row of the 16 time-domain CSV
-files with their row counts.  The former must match exactly; sampled
-time-domain values may move by at most 1e-13 relative to the file's largest
-sampled magnitude, the rounding the speedup contract allows.
+frequency-domain CSV file of scripts/reproduce_figures.py, and every
+STRIDE-th row of the 16 time-domain CSV files with their row counts.  The
+former must match exactly; sampled time-domain values may move by at most
+1e-13 relative to the file's largest sampled magnitude, the rounding the
+speedup contract allows.
 
-A change that moves a value past that limit regenerates the reference with
+The reference in data/golden_cascade.json holds the sha256 of every file
+written by the CASCADE_RUNS commands: the `cascade` command for a real, a
+large-ell and a shifted order (the figures only run z = 3.2+1i), and the
+default `sweep --with-fits`, whose report holds 16 cascade-based fits.  They
+must match exactly.
+
+A change that moves a value past these limits regenerates the references with
     PYTHONPATH=src python tests/test_golden.py
 and says so in CHANGES.md.
 """
@@ -19,12 +26,22 @@ import sys
 
 import numpy as np
 
+from pseudosplines import cli
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "reproduce_figures.py"
-REFERENCE = pathlib.Path(__file__).resolve().parent / "data" / "golden_figures.json"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+REFERENCE = DATA / "golden_figures.json"
+CASCADE_REFERENCE = DATA / "golden_cascade.json"
 STRIDE = 16
 RTOL = 1e-13
 TIME_DOMAIN = {"cascade_phi_time.csv", "framelet_psi_n1.csv", "framelet_psi_n2.csv", "framelet_psi_n3.csv"}
+CASCADE_RUNS = {
+    "cascade_1.5_0": ["cascade", "--z", "1.5", "--ell", "0"],
+    "cascade_4.2_3": ["cascade", "--z", "4.2", "--ell", "3"],
+    "cascade_2_1_u0.5": ["cascade", "--z", "2", "--ell", "1", "--shift", "0.5"],
+    "sweep_with_fits": ["sweep", "--with-fits"],
+}
 
 
 def reproduce(outdir: pathlib.Path) -> None:
@@ -50,6 +67,16 @@ def summarize(outdir: pathlib.Path) -> dict:
     return {"stride": STRIDE, "sha256": digests, "time_domain": samples}
 
 
+def cascade_digests(outdir: pathlib.Path) -> dict:
+    for name, args in CASCADE_RUNS.items():
+        code = cli.main([*args, "--out", str(outdir / name)])
+        assert code == 0, f"{name} exited {code}"
+    return {
+        path.relative_to(outdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(p for p in outdir.rglob("*") if p.is_file())
+    }
+
+
 def test_reproduce_figures_matches_the_golden_reference(tmp_path, capsys):
     reference = json.loads(REFERENCE.read_text())
     reproduce(tmp_path)
@@ -67,12 +94,21 @@ def test_reproduce_figures_matches_the_golden_reference(tmp_path, capsys):
         np.testing.assert_allclose(actual[:, 1:], expected[:, 1:], rtol=0.0, atol=RTOL * scale, err_msg=key)
 
 
+def test_cascade_runs_match_the_golden_reference(tmp_path, capsys):
+    reference = json.loads(CASCADE_REFERENCE.read_text())
+    got = cascade_digests(tmp_path)
+    capsys.readouterr()
+    assert got == reference["sha256"]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        reproduce(pathlib.Path(tmp))
-        summary = summarize(pathlib.Path(tmp))
-    REFERENCE.parent.mkdir(exist_ok=True)
-    REFERENCE.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {REFERENCE}")
+        reproduce(pathlib.Path(tmp) / "figures")
+        summary = summarize(pathlib.Path(tmp) / "figures")
+        cascade = {"sha256": cascade_digests(pathlib.Path(tmp) / "cascade")}
+    DATA.mkdir(exist_ok=True)
+    for path, obj in ((REFERENCE, summary), (CASCADE_REFERENCE, cascade)):
+        path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")
