@@ -220,8 +220,11 @@ def run_cascade(
     base = order.unshifted
     diag = CascadeDiagnostics(levels=0, sup_tolerance=float(sup_tolerance))
 
-    prev = _support_mask(half, 0.5, step).astype(complex)
-    diag.l2_norms.append(_support_l2(half, prev, 0.5, step))
+    # min(2^(m-1), extent) at level m, by exact doubling: no float power, so
+    # no overflow however many levels run
+    bound = 0.5
+    prev = _support_mask(half, bound, step).astype(complex)
+    diag.l2_norms.append(_support_l2(half, prev, bound, step))
     diag.max_modulus = float(np.max(np.abs(prev)))
 
     prod = np.ones(len(half), dtype=complex)
@@ -237,7 +240,7 @@ def run_cascade(
             h[1::2] = eval_H0(base, half[1::2] * 0.5**m)
         prod = prod * h
         current = prod.copy()
-        bound = min(2.0 ** (m - 1), extent)
+        bound = min(2.0 * bound, extent)
         current[~_support_mask(half, bound, step)] = 0.0
         diag.sup_changes.append(float(np.max(np.abs(current - prev))))
         diag.l2_norms.append(_support_l2(half, current, bound, step))

@@ -36,6 +36,8 @@ full relative accuracy where the direct formula for eta loses all digits.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -446,6 +448,51 @@ class PeriodicSignal:
         return float(np.sum(np.abs(self.samples) ** 2))
 
 
+# The transform engine's second thread: numpy's FFTs and ufunc loops release
+# the GIL, so the tasks _run_alternately hands it run beside the calling
+# thread's.  One per process, shared by every calling thread, started at the
+# first transform; a forked child, which inherits the executor but not its
+# thread (and perhaps a held lock), starts its own.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _run_alternately(task, items) -> list:
+    """[task(item) for item in items], items 0, 2, 4, ... on the calling thread
+    and 1, 3, 5, ... on the worker thread, results in item order.
+
+    An exception from a task on either thread is raised only after the other
+    thread's tasks have finished, so no task writes into a buffer after the
+    call has returned.  A task must not call this helper itself: the worker
+    would wait on its own queue.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pseudosplines")
+        worker = _worker
+    items = list(items)
+    theirs = worker.submit(lambda: [task(item) for item in items[1::2]])
+    try:
+        mine = [task(item) for item in items[::2]]
+    finally:
+        theirs.exception()  # waits for the worker's tasks; their error is raised below
+    results = [None] * len(items)
+    results[::2] = mine
+    results[1::2] = theirs.result()
+    return results
+
+
 def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
     """(4, length) spectra of the taps folded onto a circle of this length.
 
@@ -457,10 +504,13 @@ def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
         S_n[P k1 + k2] = sum_k c_{n,k} w_N^{k2 k} w_M^{k1 k},
 
     i.e. for each k2 one length-M FFT over k1 of the taps twiddled by
-    w_N^{k2 k}, each tap in row k mod M of a (4, M, P) array.  One in-place
-    FFT along the rows leaves the bins in natural order.  Taps that wrap
-    (W > N) are the P == 1 case: every twiddle is 1 and the row is the taps
-    folded to length N, as a full-length FFT would take them.
+    w_N^{k2 k}, each tap in row k mod M of a (M, P) slice of the result.  One
+    in-place FFT along the rows leaves the bins in natural order.  Taps that
+    wrap (W > N) are the P == 1 case: every twiddle is 1 and the row is the
+    taps folded to length N, as a full-length FFT would take them.
+
+    Each band is one task (twiddle, then FFT, into its own row of the
+    result): bands 0 and 2 run on the calling thread, 1 and 3 on the worker.
     """
     coeffs = [bank.coeffs[n] for n in range(4)]
     lo = min(c.offset for c in coeffs)
@@ -478,11 +528,31 @@ def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
     outer = np.exp(scale * ((ks[:, None] * (q * np.arange(p // q))) % length))
     inner = np.exp(scale * ((ks[:, None] * np.arange(q)) % length))[:, None, :]
     g = np.empty((4, m, p // q, q), dtype=complex)
-    for n, c in enumerate(coeffs):
-        np.multiply((c.wrapped(m)[:, None] * outer)[:, :, None], inner, out=g[n])
-    g = g.reshape(4, m, p)
-    np.fft.fft(g, axis=1, out=g)
+
+    def band(n: int) -> None:
+        np.multiply((coeffs[n].wrapped(m)[:, None] * outer)[:, :, None], inner, out=g[n])
+        rows = g[n].reshape(m, p)
+        np.fft.fft(rows, axis=0, out=rows)
+
+    _run_alternately(band, range(4))
     return g.reshape(4, length)
+
+
+def _fold(a_hat: np.ndarray, s: np.ndarray, out: np.ndarray, inverse: bool) -> None:
+    """out = one band of one analysis level: (a_hat * conj(s)) with its two
+    halves summed, times sqrt(2)/2, then inverse-transformed if asked.  The
+    only temporary is one half-length product."""
+    h = out.shape[-1]
+    np.conjugate(s[:h], out=out)
+    out *= a_hat[..., :h]
+    upper = np.empty_like(out)
+    np.conjugate(s[h:], out=upper)
+    upper *= a_hat[..., h:]
+    out += upper
+    del upper
+    out *= math.sqrt(2.0) / 2.0
+    if inverse:
+        np.fft.ifft(out, axis=-1, out=out)
 
 
 def _analysis(spectra: np.ndarray, samples: np.ndarray, levels: int) -> tuple[list, np.ndarray]:
@@ -492,37 +562,60 @@ def _analysis(spectra: np.ndarray, samples: np.ndarray, levels: int) -> tuple[li
     halves of its spectrum together (decimation in frequency), so the lowpass
     band stays a spectrum; only the details and the final approximation go
     through inverse FFTs, at half length.
+
+    Each level is four tasks, one per band (_fold), each writing into a
+    buffer allocated here: bands 0 and 2 on the calling thread, 1 and 3 on
+    the worker.  The three details share one array; the lowpass band has its
+    own, so the details do not keep it alive once the next level has read it.
     """
     a_hat = np.fft.fft(samples, axis=-1)
     details = []
     for j in range(levels):
-        bands = []
-        for s in spectra[:, :: 2**j]:
-            y = a_hat * np.conj(s)
-            bands.append((y[..., : len(s) // 2] + y[..., len(s) // 2 :]) * (math.sqrt(2.0) / 2.0))
-        a_hat = bands[0]
-        details.append([np.fft.ifft(band, axis=-1) for band in bands[1:]])
-    return details, np.fft.ifft(a_hat, axis=-1)
+        taps = spectra[:, :: 2**j]
+        low = np.empty(a_hat.shape[:-1] + (a_hat.shape[-1] // 2,), dtype=complex)
+        bands = np.empty((3,) + low.shape, dtype=complex)
+        outs = [low, *bands]
+        last = j == levels - 1
+        _run_alternately(lambda n: _fold(a_hat, taps[n], outs[n], n > 0 or last), range(4))
+        details.append(outs[1:])
+        a_hat = low
+    return details, a_hat
 
 
 def _synthesis(spectra: np.ndarray, details: list, approx: np.ndarray) -> np.ndarray:
     """Inverse of _analysis: upsampling by two repeats a subband's spectrum,
-    so each product is written into the two halves of one buffer; the
-    approximation stays a spectrum, and one inverse FFT ends the call."""
-    a_hat = np.fft.fft(approx, axis=-1)
+    so half k of the level's output spectrum is sqrt(2) sum_n B_n * S_n[half
+    k], B_n the spectra of the lowpass and the three details; the
+    approximation stays a spectrum, and one inverse FFT ends the call.
+
+    Each level's B_n are stacked in one (4, ..., h) array: the detail FFTs
+    (and, at the coarsest level, the approximation's) are one task each,
+    alternating between the calling thread and the worker.  Each half of the
+    output is then one task, a single einsum over the stack, the first half
+    on the calling thread and the second on the worker; it writes into row 0
+    of the next level's stack, so the lowpass is never copied.
+    """
+    approx = np.asarray(approx)
+    stack = np.empty((4,) + approx.shape, dtype=complex)
+    inputs = [approx]
     for j in range(len(details) - 1, -1, -1):
+        inputs += details[j]
+        first = 4 - len(inputs)
+        _run_alternately(lambda k: np.fft.fft(inputs[k], axis=-1, out=stack[first + k]), range(len(inputs)))
         taps = spectra[:, :: 2**j]
-        h = a_hat.shape[-1]
-        acc = np.empty(a_hat.shape[:-1] + (2 * h,), dtype=complex)
-        np.multiply(a_hat, taps[0, :h], out=acc[..., :h])
-        np.multiply(a_hat, taps[0, h:], out=acc[..., h:])
-        for sub, s in zip(details[j], taps[1:]):
-            sub_hat = np.fft.fft(sub, axis=-1)
-            acc[..., :h] += sub_hat * s[:h]
-            acc[..., h:] += sub_hat * s[h:]
-        acc *= math.sqrt(2.0)
-        a_hat = acc
-    return np.fft.ifft(a_hat, axis=-1)
+        h = stack.shape[-1]
+        nxt = np.empty((4 if j else 1,) + stack.shape[1:-1] + (2 * h,), dtype=complex)
+
+        def half(part: slice) -> None:
+            out = nxt[0][..., part]
+            np.einsum("n...i,ni->...i", stack, taps[:, part], out=out)
+            out *= math.sqrt(2.0)
+
+        _run_alternately(half, (slice(None, h), slice(h, None)))
+        stack, inputs = nxt, []
+    back = stack[0]
+    np.fft.ifft(back, axis=-1, out=back)
+    return back
 
 
 def analyze(bank: FrameletBank, signal: PeriodicSignal) -> list[np.ndarray]:

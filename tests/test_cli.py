@@ -109,6 +109,21 @@ def test_cascade_optional_time_profile(tmp_path, capsys):
     assert (tmp_path / "cascade_phi_time.csv").exists()
 
 
+def test_cascade_past_level_1024_ends_with_an_exit_code(tmp_path, capsys):
+    # 2^(m-1) overflows a double past level 1024; the support bound must not
+    with pytest.warns(RuntimeWarning, match="did not decrease"):
+        rc, out, err = run(
+            ["cascade", "--z", "2", "--window", "4", "--step", "1/8", "--levels", "1100",
+             "--sup-tolerance", "0"],
+            tmp_path,
+            capsys,
+        )
+    assert rc == 0
+    assert "converged=False" in out and "Traceback" not in err
+    diag = json.loads((tmp_path / "cascade_diagnostics.json").read_text())
+    assert diag["levels"] == 1100
+
+
 def test_cascade_time_window_too_small_is_a_tolerance_error(tmp_path, capsys):
     rc, _, err = run(
         ["cascade", "--z", "1", "--ell", "0", "--time-half-width", "2",

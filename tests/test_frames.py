@@ -2,6 +2,11 @@
 
 import json
 import math
+import multiprocessing
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,6 +483,122 @@ def test_tap_spectra_match_the_folded_ffts_for_any_support(log_length, width, lo
     ref = folded_ffts(bank, length)
     for n in range(4):
         assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
+
+
+def test_alternating_tasks_return_in_item_order_from_both_threads():
+    ran_on = {}
+
+    def square(k):
+        ran_on[k] = threading.get_ident()
+        return k * k
+
+    assert frames._run_alternately(square, range(7)) == [k * k for k in range(7)]
+    assert {ran_on[k] for k in range(0, 7, 2)} == {threading.get_ident()}
+    assert threading.get_ident() not in {ran_on[k] for k in range(1, 7, 2)}
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["calling thread", "worker"])
+def test_a_failing_task_is_raised_after_the_other_thread_has_finished(failing):
+    finished = []
+
+    def task(k):
+        if k == failing:
+            raise ValueError(k)
+        time.sleep(0.05)
+        finished.append(k)
+
+    with pytest.raises(ValueError, match=str(failing)):
+        frames._run_alternately(task, range(6))
+    assert set(range(1 - failing, 6, 2)) <= set(finished)
+
+
+def test_round_trips_do_not_depend_on_scheduling():
+    rng = np.random.default_rng(16)
+    sig = frames.PeriodicSignal(rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16))
+    runs = []
+    for _ in range(2):
+        details, approx = frames.analyze_multilevel(BANK_32_2, sig, 5)
+        back = frames.synthesize_multilevel(BANK_32_2, details, approx).samples
+        runs.append([*(band for level in details for band in level), approx, back])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+def test_concurrent_callers_share_the_worker(monkeypatch):
+    # more calling threads than cores, switching often, racing to start the
+    # worker; every round trip must still equal the serial one
+    monkeypatch.setattr(frames, "_worker", None)
+    rng = np.random.default_rng(18)
+    signals = [frames.PeriodicSignal(rng.standard_normal(1024) + 0j) for _ in range(4)]
+
+    def round_trip(sig):
+        details, approx = frames.analyze_multilevel(BANK_32_2, sig, 3)
+        return frames.synthesize_multilevel(BANK_32_2, details, approx).samples
+
+    want = [round_trip(sig) for sig in signals]
+    monkeypatch.setattr(frames, "_worker", None)
+    got = {}
+
+    def caller(k):
+        got[k] = [round_trip(signals[k]) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(back, want[k]) for k in range(4) for back in got[k])
+
+
+def test_engine_working_memory_is_pinned():
+    # peaks in complex values per sample, buffers of both threads included;
+    # tracemalloc sees numpy's arrays but not pocketfft's own scratch
+    # buffers, so resident memory is still judged by the benchmark
+    n = 2**16
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    spectra = frames._tap_spectra(BANK_32_2, n)
+    details, approx = frames._analysis(spectra, x, 5)  # starts the worker untraced
+    peaks = []
+    for run in (lambda: frames._analysis(spectra, x, 5), lambda: frames._synthesis(spectra, details, approx)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / (16 * n))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 4.05 and peaks[1] <= 3.05, peaks
+
+
+def _transform_in_child(conn):
+    _, approx = frames.analyze_multilevel(BANK_32_2, frames.PeriodicSignal(np.arange(64.0)), 2)
+    conn.send(approx)
+    conn.close()
+
+
+def test_a_forked_child_runs_transforms_on_its_own_worker():
+    # the child inherits the parent's executor but not its thread
+    _, want = frames.analyze_multilevel(BANK_32_2, frames.PeriodicSignal(np.arange(64.0)), 2)
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_transform_in_child, args=(there,))
+    child.start()
+    there.close()
+    try:
+        assert here.poll(30), "the forked child's transform did not return within 30 s"
+        got = here.recv()
+        child.join(30)
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert np.array_equal(got, want)
 
 
 def test_multilevel_synthesis_validates_subband_shapes():
