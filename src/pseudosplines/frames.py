@@ -493,6 +493,11 @@ def _run_alternately(task, items) -> list:
     return results
 
 
+# complex values in one scratch block of _tap_spectra (128 KiB): small enough
+# to stay in a core's cache, large enough that short signals take few blocks
+_BLOCK_VALUES = 1 << 13
+
+
 def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
     """(4, length) spectra of the taps folded onto a circle of this length.
 
@@ -504,13 +509,17 @@ def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
         S_n[P k1 + k2] = sum_k c_{n,k} w_N^{k2 k} w_M^{k1 k},
 
     i.e. for each k2 one length-M FFT over k1 of the taps twiddled by
-    w_N^{k2 k}, each tap in row k mod M of a (M, P) slice of the result.  One
-    in-place FFT along the rows leaves the bins in natural order.  Taps that
-    wrap (W > N) are the P == 1 case: every twiddle is 1 and the row is the
-    taps folded to length N, as a full-length FFT would take them.
+    w_N^{k2 k}, each tap in row k mod M of a (M, P) slice of the result,
+    which leaves the bins in natural order.  Taps that wrap (W > N) are the
+    P == 1 case: every twiddle is 1 and the row is the taps folded to length
+    N, as a full-length FFT would take them.
 
-    Each band is one task (twiddle, then FFT, into its own row of the
-    result): bands 0 and 2 run on the calling thread, 1 and 3 on the worker.
+    Each band is one task: bands 0 and 2 run on the calling thread, 1 and 3
+    on the worker.  A task works through the (M, P) slice in cache-sized
+    column blocks, each a whole number of the twiddle tables' q ~ sqrt(P)
+    columns: it twiddles one block into a scratch buffer, runs the in-place
+    FFT along its rows there, and copies it into the result, so each FFT
+    reads contiguous memory and the result is written once.
     """
     coeffs = [bank.coeffs[n] for n in range(4)]
     lo = min(c.offset for c in coeffs)
@@ -528,11 +537,17 @@ def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
     outer = np.exp(scale * ((ks[:, None] * (q * np.arange(p // q))) % length))
     inner = np.exp(scale * ((ks[:, None] * np.arange(q)) % length))[:, None, :]
     g = np.empty((4, m, p // q, q), dtype=complex)
+    # each block holds `cols` columns of the outer table, (M, cols q) values
+    cols = max(1, min(p // q, _BLOCK_VALUES // (m * q)))
 
     def band(n: int) -> None:
-        np.multiply((coeffs[n].wrapped(m)[:, None] * outer)[:, :, None], inner, out=g[n])
-        rows = g[n].reshape(m, p)
-        np.fft.fft(rows, axis=0, out=rows)
+        taps = coeffs[n].wrapped(m)[:, None]
+        block = np.empty((m, cols, q), dtype=complex)
+        rows = block.reshape(m, cols * q)
+        for a in range(0, p // q, cols):
+            np.multiply((taps * outer[:, a : a + cols])[:, :, None], inner, out=block)
+            np.fft.fft(rows, axis=0, out=rows)
+            g[n, :, a : a + cols] = block
 
     _run_alternately(band, range(4))
     return g.reshape(4, length)
@@ -555,20 +570,59 @@ def _fold(a_hat: np.ndarray, s: np.ndarray, out: np.ndarray, inverse: bool) -> N
         np.fft.ifft(out, axis=-1, out=out)
 
 
+def _butterflies(spectrum: np.ndarray, inverse: bool) -> None:
+    """The radix-2 butterflies between a (..., N) spectrum and the spectra
+    of its even and odd samples, in place on its halves lo and hi.
+
+    With t = w_N^k, k = 0..N/2-1: forward, lo and hi hold the FFTs of the
+    even and of the odd samples and become the two halves of the full FFT,
+    lo + t hi and lo - t hi (decimation in time); inverse, lo and hi hold
+    half the full spectrum's halves and become lo + hi and (lo - hi) / t,
+    whose half-length inverse FFTs are the even and the odd samples
+    (decimation in frequency).  They run on the calling thread: a task on
+    the worker costs two thread handoffs, which on the short signals of the
+    frames check outweigh the butterflies.
+    """
+    h = spectrum.shape[-1] // 2
+    # w_N^{+-(q a + b)} as the outer product of two tables, q ~ sqrt(N/2):
+    # N/2q + q complex exponentials instead of N/2
+    q = 1 << (h.bit_length() - 1) // 2
+    scale = (1j if inverse else -1j) * np.pi / h
+    t = (np.exp(scale * q * np.arange(h // q))[:, None] * np.exp(scale * np.arange(q))).ravel()
+    lo, hi = spectrum[..., :h], spectrum[..., h:]
+    if inverse:
+        lo += hi
+        hi *= -2.0
+        hi += lo
+        hi *= t
+    else:
+        hi *= t
+        lo += hi
+        hi *= -2.0
+        hi += lo
+
+
 def _analysis(spectra: np.ndarray, samples: np.ndarray, levels: int) -> tuple[list, np.ndarray]:
     """analyze_multilevel's (details, approx) for a (..., N) batch of samples.
 
-    One FFT in.  Keeping the even samples of a correlation is folding the
-    halves of its spectrum together (decimation in frequency), so the lowpass
-    band stays a spectrum; only the details and the final approximation go
-    through inverse FFTs, at half length.
+    The signal comes in as two half-length FFTs, of its even and of its odd
+    samples, one on each thread, joined by the forward butterflies.  Keeping
+    the even samples of a correlation is folding the halves of its spectrum
+    together (decimation in frequency), so the lowpass band stays a
+    spectrum; only the details and the final approximation go through
+    inverse FFTs, at half length.
 
     Each level is four tasks, one per band (_fold), each writing into a
     buffer allocated here: bands 0 and 2 on the calling thread, 1 and 3 on
     the worker.  The three details share one array; the lowpass band has its
     own, so the details do not keep it alive once the next level has read it.
     """
-    a_hat = np.fft.fft(samples, axis=-1)
+    h = samples.shape[-1] // 2
+    a_hat = np.empty(samples.shape[:-1] + (2 * h,), dtype=complex)
+    _run_alternately(
+        lambda r: np.fft.fft(samples[..., r::2], axis=-1, out=a_hat[..., r * h : (r + 1) * h]), range(2)
+    )
+    _butterflies(a_hat, inverse=False)
     details = []
     for j in range(levels):
         taps = spectra[:, :: 2**j]
@@ -586,7 +640,10 @@ def _synthesis(spectra: np.ndarray, details: list, approx: np.ndarray) -> np.nda
     """Inverse of _analysis: upsampling by two repeats a subband's spectrum,
     so half k of the level's output spectrum is sqrt(2) sum_n B_n * S_n[half
     k], B_n the spectra of the lowpass and the three details; the
-    approximation stays a spectrum, and one inverse FFT ends the call.
+    approximation stays a spectrum.  The last level's einsum also takes the
+    1/2 of the inverse butterflies, which turn the output spectrum into the
+    spectra of the even and of the odd samples; two half-length inverse
+    FFTs, one on each thread, end the call, in place before one interleave.
 
     Each level's B_n are stacked in one (4, ..., h) array: the detail FFTs
     (and, at the coarsest level, the approximation's) are one task each,
@@ -605,16 +662,25 @@ def _synthesis(spectra: np.ndarray, details: list, approx: np.ndarray) -> np.nda
         taps = spectra[:, :: 2**j]
         h = stack.shape[-1]
         nxt = np.empty((4 if j else 1,) + stack.shape[1:-1] + (2 * h,), dtype=complex)
+        gain = math.sqrt(2.0) if j else math.sqrt(2.0) / 2.0
 
         def half(part: slice) -> None:
             out = nxt[0][..., part]
             np.einsum("n...i,ni->...i", stack, taps[:, part], out=out)
-            out *= math.sqrt(2.0)
+            out *= gain
 
         _run_alternately(half, (slice(None, h), slice(h, None)))
         stack, inputs = nxt, []
-    back = stack[0]
-    np.fft.ifft(back, axis=-1, out=back)
+    spectrum = stack[0]
+    _butterflies(spectrum, inverse=True)
+    h = spectrum.shape[-1] // 2
+    halves = (spectrum[..., :h], spectrum[..., h:])
+    # in place, then interleaved on the calling thread: inverse FFTs written
+    # straight into strided views of the output, or interleaving inside the
+    # two tasks, hold more resident memory
+    _run_alternately(lambda r: np.fft.ifft(halves[r], axis=-1, out=halves[r]), range(2))
+    back = np.empty_like(spectrum)
+    back[..., 0::2], back[..., 1::2] = halves
     return back
 
 

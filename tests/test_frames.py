@@ -438,14 +438,41 @@ def folded_ffts(bank, length):
     return np.array([np.fft.fft(bank.coeffs[n].wrapped(length)) for n in range(4)])
 
 
+def strided_tap_spectra(bank, length):
+    """The pruned tap spectra with each band's FFT run in place along the rows
+    of its strided (M, P) slice of the result, one band after another.
+
+    This is the loop _tap_spectra replaced by its cache-sized column blocks;
+    the two do the same arithmetic and must agree bit for bit.
+    """
+    coeffs = [bank.coeffs[n] for n in range(4)]
+    lo = min(c.offset for c in coeffs)
+    width = max(c.offset + len(c.values) for c in coeffs) - lo
+    m = min(length, 1 << (width - 1).bit_length())
+    p = length // m
+    ks = lo + (np.arange(m) - lo) % m
+    q = 1 << (p.bit_length() - 1) // 2
+    scale = -2j * np.pi / length
+    outer = np.exp(scale * ((ks[:, None] * (q * np.arange(p // q))) % length))
+    inner = np.exp(scale * ((ks[:, None] * np.arange(q)) % length))[:, None, :]
+    g = np.empty((4, m, p // q, q), dtype=complex)
+    for n in range(4):
+        np.multiply((coeffs[n].wrapped(m)[:, None] * outer)[:, :, None], inner, out=g[n])
+        rows = g[n].reshape(m, p)
+        np.fft.fft(rows, axis=0, out=rows)
+    return g.reshape(4, length)
+
+
 @pytest.mark.parametrize("length", [4, 16, 64, 1024, 2**16])
 @pytest.mark.parametrize("bank", [BANK_15_0, BANK_32_2], ids=["1.5,0", "3.2+1i,2"])
 def test_tap_spectra_match_the_folded_ffts(bank, length):
+    # BANK_15_0's taps wrap (P == 1) up to 1024 samples
     got = frames._tap_spectra(bank, length)
     ref = folded_ffts(bank, length)
     assert got.shape == (4, length)
     for n in range(4):
         assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
+    assert np.array_equal(got, strided_tap_spectra(bank, length))
 
 
 def coefficient_bank(lo, width, seed):
@@ -483,6 +510,57 @@ def test_tap_spectra_match_the_folded_ffts_for_any_support(log_length, width, lo
     ref = folded_ffts(bank, length)
     for n in range(4):
         assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
+    assert np.array_equal(got, strided_tap_spectra(bank, length))
+
+
+def full_fft_analysis(spectra, samples, levels):
+    """_analysis with one full-length FFT in and every step serial: the
+    transform before its ends were split into two half-length FFTs."""
+    a_hat = np.fft.fft(samples, axis=-1)
+    details = []
+    for j in range(levels):
+        taps = spectra[:, :: 2**j]
+        h = a_hat.shape[-1] // 2
+        bands = [
+            (a_hat[..., :h] * np.conj(s[:h]) + a_hat[..., h:] * np.conj(s[h:])) * (math.sqrt(2.0) / 2.0)
+            for s in taps
+        ]
+        details.append([np.fft.ifft(b, axis=-1) for b in bands[1:]])
+        a_hat = bands[0]
+    return details, np.fft.ifft(a_hat, axis=-1)
+
+
+def full_fft_synthesis(spectra, details, approx):
+    """The inverse of full_fft_analysis, ended by one full-length inverse FFT."""
+    spectrum = np.fft.fft(approx, axis=-1)
+    for j in range(len(details) - 1, -1, -1):
+        stack = np.stack([spectrum, *(np.fft.fft(d, axis=-1) for d in details[j])])
+        stack = np.concatenate((stack, stack), axis=-1)
+        spectrum = np.einsum("n...i,ni->...i", stack, spectra[:, :: 2**j]) * math.sqrt(2.0)
+    return np.fft.ifft(spectrum, axis=-1)
+
+
+@pytest.mark.parametrize(
+    "shape, levels",
+    [((4,), 1), ((8,), 1), ((8,), 2)]
+    + [(shape, levels) for shape in ((1024,), (2**16,), (50, 1024)) for levels in range(1, 6)],
+)
+def test_radix2_ends_match_the_full_length_ffts(shape, levels):
+    rng = np.random.default_rng([shape[-1], levels])
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spectra = frames._tap_spectra(BANK_32_2, shape[-1])
+
+    def close(got, want):
+        scale = np.abs(want).max(axis=-1)
+        return bool(np.all(np.abs(got - want).max(axis=-1) <= 1e-15 * scale))
+
+    details, approx = frames._analysis(spectra, x, levels)
+    ref_details, ref_approx = full_fft_analysis(spectra, x, levels)
+    for level, ref_level in zip(details, ref_details):
+        assert all(close(got, want) for got, want in zip(level, ref_level))
+    assert close(approx, ref_approx)
+    back = frames._synthesis(spectra, ref_details, ref_approx)
+    assert close(back, full_fft_synthesis(spectra, ref_details, ref_approx))
 
 
 def test_alternating_tasks_return_in_item_order_from_both_threads():

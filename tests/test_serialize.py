@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pseudosplines.errors import DomainError
 from pseudosplines.serialize import (
@@ -80,6 +80,23 @@ def test_samples_csv_matches_per_row_format_float(tmp_path):
 def test_samples_csv_refuses_non_finite_values(tmp_path, bad):
     with pytest.raises(DomainError, match="non-finite"):
         write_samples_csv(tmp_path / "bad.csv", "t", [0.0, 1.0], [1.0, bad])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+@example(complex(1.7e308, 1.7e308))  # |v| overflows
+@example(complex(1e308, 1e308))  # |v| is finite
+@example(complex(5e-324, -0.0))
+def test_samples_csv_abs_column_is_pythons_abs(tmp_path_factory, v):
+    path = tmp_path_factory.mktemp("csv") / "abs.csv"
+    try:
+        want = abs(v)
+    except OverflowError:
+        with pytest.raises(DomainError, match="^refusing to serialize non-finite value inf$"):
+            write_samples_csv(path, "t", [0.0], [v])
+        return
+    write_samples_csv(path, "t", [0.0], [v])
+    assert path.read_text().splitlines()[1].split(",")[3] == repr(want)
 
 
 def test_read_samples_csv_rejects_headerless_file(tmp_path):
