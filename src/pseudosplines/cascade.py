@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridCompatibilityError, ResolutionError, ToleranceError, WindowError
-from .symbol import PseudoSplineOrder, eval_H0, eval_p
+from .symbol import PseudoSplineOrder, eval_H0, kappa
 
 __all__ = [
     "FourierProfile",
@@ -341,13 +341,12 @@ def fourier_to_time(gammas: np.ndarray, values: np.ndarray, ts: np.ndarray) -> n
 def _tail_estimate(profile: FourierProfile) -> float:
     """Spectral-tail bound 2 c (1+W)^{-d} / d from the envelope decay.
 
-    The envelope exponent uses 2 alpha - kappa with kappa estimated as
-    log2 |p(3/4)|; the constant c is calibrated on the outer half of the
-    window, where the asymptotic regime is established.
+    The envelope exponent is 2 alpha - kappa; the constant c is calibrated
+    on the outer half of the window, where the asymptotic regime is
+    established.
     """
     order = profile.order
-    kappa_est = math.log2(abs(eval_p(order, 0.75)))
-    decay = 2.0 * order.alpha - kappa_est
+    decay = 2.0 * order.alpha - kappa(order)
     margin = decay - 1.0
     if margin <= 0.05:
         raise ToleranceError(

@@ -157,9 +157,8 @@ def run_frames_checks(
         CheckResult("uep_offdiagonal", bank.uep_offdiagonal_error, 1e-10 * s),
     ]
 
-    g = bank.grid.gamma
-    sigma = np.asarray(frames.eval_sigma(order, g))
-    eta = np.asarray(frames.eval_eta(order, g))
+    sigma = math.sqrt(2.0) * bank.symbol(2).values
+    eta = np.asarray(frames.eval_eta(order, bank.grid.gamma))
     results.append(
         CheckResult("sigma_squared_equals_eta", float(np.max(np.abs(np.abs(sigma) ** 2 - eta))), 1e-12 * s)
     )

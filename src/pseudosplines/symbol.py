@@ -46,6 +46,7 @@ __all__ = [
     "sample_H0",
     "partition_values",
     "theta_bound",
+    "kappa",
     "PartitionExtrema",
     "partition_extrema",
     "lipschitz_check",
@@ -62,7 +63,7 @@ class PseudoSplineOrder:
     """Parameter triple (z, ell, shift) of a pseudo-spline filter.
 
     Constraints: Re z >= 1, 0 <= ell <= floor(Re z - 1/2), shift real.
-    One step beyond the ell bound is tolerated (the reference filter family
+    One step beyond the ell bound is tolerated (the plotted filter family
     z = 3.2+1i runs ell up to 3): the defining formulas stay well-posed there,
     but the partition bound is not guaranteed and fails for some such
     orders, e.g. (1, 1).  Anything further raises OrderError at construction
@@ -339,6 +340,15 @@ def theta_bound(order: PseudoSplineOrder) -> float:
     """
     s = complex(np.sum(order.definition_coefficients()))
     return float(2.0 ** (1.0 - 2.0 * order.alpha - 2.0 * order.ell) * abs(s) ** 2)
+
+
+def kappa(order: PseudoSplineOrder) -> float:
+    """Smoothness deficit log2 |p(3/4)|; 0 for ell = 0.
+
+    It lowers the envelope decay exponent of |phi_hat| to 2 alpha - kappa
+    and the Holder exponent to 2 alpha - kappa - 1.
+    """
+    return math.log2(abs(eval_p(order, 0.75)))
 
 
 class PartitionExtrema(NamedTuple):

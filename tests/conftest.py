@@ -2,10 +2,17 @@
 
 The acceptance gate in test_acceptance.py tags each test with the number of
 the criterion it checks; a terminal-summary hook prints one PASS/FAIL line
-per criterion so the gate's verdict is readable without scrolling.
+per criterion so the gate's verdict is readable without scrolling.  The
+envelope_conditions fixture is the grid check shared by the analysis tests
+and criterion 6.
 """
 
 import re
+
+import numpy as np
+import pytest
+
+from pseudosplines.symbol import eval_p
 
 CRITERIA = {
     1: "partition of unity: min equals the closed-form bound, max equals 1, full order sweep",
@@ -13,11 +20,32 @@ CRITERIA = {
     3: "cascade L2 monotonicity, convergence, B-spline oracle, refinement residual",
     4: "filter-bank row and half-shift identities within 1e-10 for every order",
     5: "discrete Parseval and perfect reconstruction on random signals",
-    6: "regularity and approximation: fits and closed forms for fractional orders",
+    6: "regularity and approximation: fits and closed forms for real and complex orders",
     7: "lowpass arctan condition, positive floor, and pointwise ordering",
     8: "real shifts: phase identity, unchanged reports, unchanged bank identities",
     9: "CLI determinism, exit-code table, and order-constraint rejection",
 }
+
+
+def _envelope_conditions(order, points: int = 4096) -> bool:
+    """Grid check of the two envelope inequalities behind the decay bound.
+
+    (a) |p(x)| <= |p(3/4)| on [0, 3/4]; (b) |p(x) p(4x(1-x))| <= |p(3/4)|^2
+    on [3/4, 1]; both with 1e-12 slack on a uniform x-grid.
+    """
+    p34 = abs(eval_p(order, 0.75))
+    xs_a = np.linspace(0.0, 0.75, points)
+    ok_a = bool(np.all(np.abs(eval_p(order, xs_a)) <= p34 + 1e-12))
+    xs_b = np.linspace(0.75, 1.0, points)
+    inner = np.clip(4.0 * xs_b * (1.0 - xs_b), 0.0, 1.0)
+    ok_b = bool(np.all(np.abs(eval_p(order, xs_b) * eval_p(order, inner)) <= p34 * p34 + 1e-12))
+    return ok_a and ok_b
+
+
+@pytest.fixture
+def envelope_conditions():
+    return _envelope_conditions
+
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 _outcomes: dict[int, str] = {}

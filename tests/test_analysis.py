@@ -8,9 +8,13 @@ import pytest
 
 from pseudosplines import analysis
 from pseudosplines.cascade import run_cascade
-from pseudosplines.errors import ConditionError, DomainError, VerificationFailure
+from pseudosplines.errors import ConditionError
 from pseudosplines.serialize import dump_json
-from pseudosplines.symbol import PseudoSplineOrder, max_ell, theta_bound
+from pseudosplines.symbol import PseudoSplineOrder, kappa, max_ell, theta_bound
+
+# complex orders that meet the lowpass condition, so full_report fits them
+COMPLEX_FITTED = [(3.2 + 1.0j, 0), (3.2 + 1.0j, 1), (3.2 + 1.0j, 2), (3.2 + 1.0j, 3),
+                  (2.0 + 1.0j, 1), (4.5 + 2.0j, 3), (1.0 + 5.0j, 0)]
 
 
 # ---------------------------------------------------------------- lowpass condition
@@ -57,9 +61,10 @@ def test_lowpass_floor_for_the_linear_spline():
 def test_lowpass_floor_ordering_for_the_complex_family():
     base, _ = run_cascade(PseudoSplineOrder(3.2 + 1.0j, 0))
     higher, _ = run_cascade(PseudoSplineOrder(3.2 + 1.0j, 2))
-    # must not raise: |phi_hat| at ell=0 sits below the ell=2 profile
-    floor = analysis.lowpass_floor(higher, reference=base)
-    assert floor > 0.0
+    assert analysis.lowpass_floor(higher) > 0.0
+    # |phi_hat| at ell=0 sits below the ell=2 profile on |gamma| <= 1/4
+    sel = np.abs(higher.gammas) <= 0.25 + 1e-12
+    assert np.all(np.abs(base.values[sel]) <= np.abs(higher.values[sel]) + 1e-9)
 
 
 def test_lowpass_floor_rejects_violated_condition():
@@ -70,34 +75,23 @@ def test_lowpass_floor_rejects_violated_condition():
         analysis.lowpass_floor(profile)
 
 
-def test_lowpass_floor_detects_ordering_violations():
-    lower, _ = run_cascade(PseudoSplineOrder(3.2 + 1.0j, 2))
-    base, _ = run_cascade(PseudoSplineOrder(3.2 + 1.0j, 0))
-    # reversed roles: the ell=2 profile is NOT below the ell=0 one
-    with pytest.raises(VerificationFailure):
-        analysis.lowpass_floor(base, reference=lower)
-
-
 # ---------------------------------------------------------------- closed forms
 
 
 def test_kappa_values():
-    assert analysis.kappa(PseudoSplineOrder(1.0, 0)) == 0.0
-    assert analysis.kappa(PseudoSplineOrder(3.5, 0)) == 0.0
-    assert analysis.kappa(PseudoSplineOrder(2.0, 1)) == pytest.approx(math.log2(2.5), abs=1e-14)
-    assert analysis.kappa(PseudoSplineOrder(3.0, 1)) == pytest.approx(math.log2(3.25), abs=1e-14)
-
-
-def test_kappa_rejects_complex_orders():
-    for fn in (analysis.kappa, analysis.holder_exponent, analysis.approximation_order):
-        with pytest.raises(DomainError):
-            fn(PseudoSplineOrder(3.2 + 1.0j, 1))
+    assert kappa(PseudoSplineOrder(1.0, 0)) == 0.0
+    assert kappa(PseudoSplineOrder(3.5, 0)) == 0.0
+    assert kappa(PseudoSplineOrder(3.2 + 1.0j, 0)) == 0.0
+    assert kappa(PseudoSplineOrder(2.0, 1)) == pytest.approx(math.log2(2.5), abs=1e-14)
+    assert kappa(PseudoSplineOrder(3.0, 1)) == pytest.approx(math.log2(3.25), abs=1e-14)
+    # p(x) = 1 + z x for ell = 1
+    assert kappa(PseudoSplineOrder(3.2 + 1.0j, 1)) == pytest.approx(math.log2(abs(3.4 + 0.75j)), abs=1e-14)
 
 
 def test_kappa_monotone_in_ell():
     for alpha in (2.0, 3.5, 4.2):
         values = [
-            analysis.kappa(PseudoSplineOrder(alpha, ell))
+            kappa(PseudoSplineOrder(alpha, ell))
             for ell in range(max_ell(alpha) + 1)
         ]
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
@@ -121,16 +115,12 @@ def test_approximation_order_values():
     assert analysis.approximation_order(PseudoSplineOrder(2.0, 1)) == 4.0
     assert analysis.approximation_order(PseudoSplineOrder(3.5, 1)) == 4.0
     assert analysis.approximation_order(PseudoSplineOrder(3.5, 3)) == 7.0
+    assert analysis.approximation_order(PseudoSplineOrder(3.2 + 1.0j, 3)) == 6.4
 
 
-def test_L_conditions_hold_for_valid_orders():
-    for z, ell in [(1.0, 0), (2.0, 1), (1.5, 1), (3.5, 2), (4.2, 3)]:
-        assert analysis.verify_L_conditions(PseudoSplineOrder(z, ell))
-
-
-def test_L_conditions_reject_complex_orders():
-    with pytest.raises(DomainError):
-        analysis.verify_L_conditions(PseudoSplineOrder(3.2 + 1.0j, 1))
+def test_L_conditions_hold_for_valid_orders(envelope_conditions):
+    for z, ell in [(1.0, 0), (2.0, 1), (1.5, 1), (3.5, 2), (4.2, 3), *COMPLEX_FITTED]:
+        assert envelope_conditions(PseudoSplineOrder(z, ell))
 
 
 # ---------------------------------------------------------------- fits
@@ -140,28 +130,26 @@ def test_decay_fit_recovers_spline_envelopes():
     # wide window so the [16, 512] fit range is covered; the envelope fit
     # only needs a handful of points per period
     p1, _ = run_cascade(PseudoSplineOrder(1.0, 0), window=640.0, step=1.0 / 16)
-    assert analysis.decay_fit(p1, (16.0, 512.0)) == pytest.approx(-2.0, abs=0.1)
+    assert analysis.fit_decay(p1)[0] == pytest.approx(-2.0, abs=0.1)
     p2, _ = run_cascade(PseudoSplineOrder(2.0, 0), window=640.0, step=1.0 / 16)
-    assert analysis.decay_fit(p2, (16.0, 512.0)) == pytest.approx(-4.0, abs=0.1)
+    assert analysis.fit_decay(p2)[0] == pytest.approx(-4.0, abs=0.1)
 
 
 def test_decay_fit_respects_the_theoretical_bound():
-    for alpha, ell in [(1.5, 1), (2.7, 2), (3.5, 3)]:
-        order = PseudoSplineOrder(alpha, ell)
+    for z, ell in [(1.5, 1), (2.7, 2), (3.5, 3), *COMPLEX_FITTED]:
+        order = PseudoSplineOrder(z, ell)
         profile, _ = run_cascade(order)
-        bound = -(2.0 * alpha - analysis.kappa(order))
-        assert analysis.decay_fit(profile) <= bound + 0.2
+        bound = -(2.0 * order.alpha - kappa(order))
+        assert analysis.fit_decay(profile)[0] <= bound + 0.2
 
 
 def test_zero_order_fit_matches_the_flatness_order():
-    assert analysis.zero_order_fit(PseudoSplineOrder(1.0, 0)) == pytest.approx(2.0, abs=0.02)
-    assert analysis.zero_order_fit(PseudoSplineOrder(2.0, 1)) == pytest.approx(4.0, abs=0.05)
-    assert analysis.zero_order_fit(PseudoSplineOrder(3.4, 2)) == pytest.approx(6.0, abs=0.05)
-
-
-def test_zero_order_fit_range_guard():
-    with pytest.raises(DomainError):
-        analysis.zero_order_fit(PseudoSplineOrder(1.0, 0), fit_range=(1e-3, 2e-2))
+    assert analysis.fit_zero_order(PseudoSplineOrder(1.0, 0))[0] == pytest.approx(2.0, abs=0.02)
+    assert analysis.fit_zero_order(PseudoSplineOrder(2.0, 1))[0] == pytest.approx(4.0, abs=0.05)
+    assert analysis.fit_zero_order(PseudoSplineOrder(3.4, 2))[0] == pytest.approx(6.0, abs=0.05)
+    assert analysis.fit_zero_order(PseudoSplineOrder(3.2 + 1.0j, 3))[0] == pytest.approx(8.0, abs=0.02)
+    # the fit window [(5e-12 / C)^(1/10), 1e-2] is empty: the zero is too flat
+    assert analysis.fit_zero_order(PseudoSplineOrder(5.0, 4)) is None
 
 
 # ---------------------------------------------------------------- reports
@@ -180,16 +168,17 @@ def test_full_report_for_the_cubic_spline():
 
 
 def test_full_report_for_a_complex_order_omits_real_only_fields():
-    report = analysis.full_report(PseudoSplineOrder(3.2 + 1.0j, 3))
+    # no field is real-only: a complex order meeting the condition gets them all
+    order = PseudoSplineOrder(3.2 + 1.0j, 3)
+    report = analysis.full_report(order)
     assert report.lowpass_ok
-    assert report.theta == pytest.approx(theta_bound(PseudoSplineOrder(3.2 + 1.0j, 3)))
-    assert report.kappa is None
-    assert report.holder_s is None
-    assert report.approx_order is None
+    assert report.theta == pytest.approx(theta_bound(order))
+    assert report.kappa == kappa(order)
+    assert report.holder_s == pytest.approx(6.4 - kappa(order) - 1.0, abs=1e-14)
+    assert report.approx_order == 6.4
     d = report.to_dict()
-    assert "kappa" not in d
-    assert "holder_s" not in d
-    assert "approx_order" not in d
+    for name in ("kappa", "holder_s", "approx_order", "fit_decay_exponent", "fit_zero_order", "lowpass_floor_c"):
+        assert name in d
     assert d["lowpass_arctan_sum"]["value"] == pytest.approx(0.8865294603208078, abs=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Command-line contract: files, determinism, exit codes, config handling."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -193,6 +194,44 @@ def test_analyze_reports_known_values(tmp_path, capsys):
     assert report["approx_order"]["value"] == 4.0
     assert report["kappa"]["value"] == pytest.approx(1.3219, abs=1e-3)
     assert json.loads((tmp_path / "analyze_report.json").read_text()) == report
+
+
+@pytest.mark.parametrize("z, ell", [("5", "4"), ("6+1i", "5")])
+def test_analyze_omits_only_the_zero_order_fit_where_the_zero_is_too_flat(tmp_path, capsys, z, ell):
+    rc, out, _ = run(["analyze", "--z", z, "--ell", ell], tmp_path, capsys)
+    assert rc == 0
+    report = json.loads(out.split("wrote ")[0])
+    for name in ("kappa", "holder_s", "approx_order", "fit_decay_exponent", "lowpass_floor_c"):
+        assert name in report
+    assert "fit_zero_order" not in report
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_analyze_fits_the_complex_reference_family(tmp_path, capsys, ell):
+    rc, out, _ = run(["analyze", "--z", "3.2+1i", "--ell", str(ell)], tmp_path, capsys)
+    assert rc == 0
+    report = json.loads(out.split("wrote ")[0])
+    # p(3/4) = sum_k binom(z-1+k, k) (3/4)^k, one term from the previous
+    term = p34 = 1.0
+    for k in range(1, ell + 1):
+        term *= (2.2 + 1.0j + k) / k * 0.75
+        p34 += term
+    kappa = math.log2(abs(p34))
+    assert report["kappa"]["value"] == pytest.approx(kappa, abs=1e-12)
+    assert report["approx_order"]["value"] == min(6.4, 2.0 * (ell + 1))
+    assert report["fit_zero_order"]["value"] == pytest.approx(2.0 * (ell + 1), abs=0.02)
+    assert report["fit_decay_exponent"]["value"] <= -(6.4 - kappa) + 0.2
+
+
+def test_analyze_off_the_lowpass_condition_reports_the_closed_forms(tmp_path, capsys):
+    rc, out, _ = run(["analyze", "--z", "2+3i", "--ell", "1"], tmp_path, capsys)
+    assert rc == 0
+    report = json.loads(out.split("wrote ")[0])
+    assert report["lowpass_ok"]["value"] is False
+    for name in ("kappa", "holder_s", "approx_order"):
+        assert name in report
+    for name in ("fit_decay_exponent", "fit_zero_order", "lowpass_floor_c"):
+        assert name not in report
 
 
 def test_sweep_aggregates_orders(tmp_path, capsys):
