@@ -168,18 +168,18 @@ def run_frames_checks(
     results.append(CheckResult("vanishing_moments", moment, 1e-12 * s))
 
     limit = max(1e-8, 10.0 * truncation_eps)
-    rng = np.random.default_rng(seed)
-    # one (signals, length) batch and one set of tap spectra; PeriodicSignal checks the length
-    data = np.empty((signals, signal_length), dtype=complex)
-    for row in data:
-        noise = rng.standard_normal(signal_length) + 1j * rng.standard_normal(signal_length)
-        row[:] = frames.PeriodicSignal(noise).samples
-    spectra = frames._tap_spectra(bank, signal_length)
-    details, approx = frames._analysis(spectra, data, 1)
+    frames._require_length(signal_length)
+    # row i is standard_normal(n) + 1j * standard_normal(n), drawn in that
+    # order; the rows run as one batch, on one queue and one set of tap spectra
+    noise = np.random.default_rng(seed).standard_normal((signals, 2, signal_length))
+    data = noise[:, 0] + 1j * noise[:, 1]
+    with frames._Queue() as queue:
+        spectra = frames._tap_spectra(queue, bank, signal_length)
+        details, approx = frames._analysis(queue, spectra, data, 1)
+        back = frames._synthesis(queue, spectra, details, approx)
     energies = sum(np.sum(np.abs(band) ** 2, axis=-1) for band in (approx, *details[0]))
     inputs = np.sum(np.abs(data) ** 2, axis=-1)
     worst_energy = float(np.max(np.abs(energies - inputs) / inputs, initial=0.0))
-    back = frames._synthesis(spectra, details, approx)
     errors = np.linalg.norm(back - data, axis=-1) / np.linalg.norm(data, axis=-1)
     worst_roundtrip = float(np.max(errors, initial=0.0))
     results.append(CheckResult("discrete_parseval", worst_energy, limit * s))

@@ -27,10 +27,15 @@ geometrically for integer z, where the bank becomes effectively finite.
 |sigma|^2 = eta holds identically, and sigma(-gamma) = conj(sigma(gamma)),
 so H2, H3 have real time-domain filters for real unshifted orders.
 
-Near its zeros R is evaluated from a cancellation-free power series in
-x = sin^2 pi gamma (the leading 1 of |q|^2 = (1-x)^{2 alpha} |p(x)|^2 is
-cancelled symbolically, and eta(x) is symmetric under x -> 1-x), keeping
-full relative accuracy where the direct formula for eta loses all digits.
+Near its zeros (x = sin^2 pi gamma < 0.05, or 1 - x < 0.05, as eta(x) is
+symmetric under x -> 1-x) R is evaluated from a power series in x whose
+leading 1 of |q|^2 = (1-x)^{2 alpha} |p(x)|^2 is cancelled symbolically,
+where the direct formula for eta loses all digits.  The series still sums
+large alternating binomial terms, whose cancellation grows with Re z: it
+agrees with the direct formula to 1e-14 of sup eta up to Re z = 50, but
+only to 6.4e-10 at (80, 5) and 3.6e-9 at (150, 30), and at (200, 0) not
+at all.  Full accuracy beyond Re z = 50 needs the cancellation-free eta of
+ROADMAP item 2 (the incomplete beta function).
 """
 
 from __future__ import annotations
@@ -38,8 +43,10 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -424,6 +431,11 @@ def framelet_time(bank: FrameletBank, phi: TimeProfile, n: int) -> TimeProfile:
     return TimeProfile(bank.order, phi.half_width, phi.step, out, tail)
 
 
+def _require_length(n: int) -> None:
+    if n < 4 or (n & (n - 1)) != 0:
+        raise ResolutionError(f"signal length must be a power of two >= 4, got {n}")
+
+
 @dataclass(frozen=True)
 class PeriodicSignal:
     """A finite signal on a circle; length must be a power of two >= 4."""
@@ -434,9 +446,7 @@ class PeriodicSignal:
         v = np.asarray(self.samples, dtype=complex).copy()
         if v.ndim != 1:
             raise ResolutionError(f"signal must be one-dimensional, got shape {v.shape}")
-        n = len(v)
-        if n < 4 or (n & (n - 1)) != 0:
-            raise ResolutionError(f"signal length must be a power of two >= 4, got {n}")
+        _require_length(len(v))
         v.setflags(write=False)
         object.__setattr__(self, "samples", v)
 
@@ -448,11 +458,17 @@ class PeriodicSignal:
         return float(np.sum(np.abs(self.samples) ** 2))
 
 
-# The transform engine's second thread: numpy's FFTs and ufunc loops release
-# the GIL, so the tasks _run_alternately hands it run beside the calling
-# thread's.  One per process, shared by every calling thread, started at the
-# first transform; a forked child, which inherits the executor but not its
-# thread (and perhaps a held lock), starts its own.
+# The transform engine's second thread.  numpy's FFTs and ufunc loops release
+# the GIL, so a task on the worker runs beside the calling thread.  Each
+# engine call puts its tasks on its own _Queue as soon as their inputs exist;
+# the worker takes them oldest first, and the calling thread runs them too
+# whenever it waits for a result, so no queued task waits while a thread is
+# free.  One worker per process serves the queues of every calling thread:
+# its inbox holds each queue with tasks for it at most once, and it serves a
+# queue until the queue is empty, so it wakes once per burst of tasks rather
+# than once per task.  It starts at the first transform; a forked child,
+# which inherits the inbox but not the thread (and perhaps a held lock),
+# starts its own.
 _worker = None
 _worker_lock = threading.Lock()
 
@@ -465,43 +481,150 @@ def _forget_worker() -> None:
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _run_alternately(task, items) -> list:
-    """[task(item) for item in items], items 0, 2, 4, ... on the calling thread
-    and 1, 3, 5, ... on the worker thread, results in item order.
+def _work(inbox) -> None:
+    while True:
+        inbox.get()._serve()
 
-    An exception from a task on either thread is raised only after the other
-    thread's tasks have finished, so no task writes into a buffer after the
-    call has returned.  A task must not call this helper itself: the worker
-    would wait on its own queue.
+
+class _Task:
+    """One queued call and, once it has run, its value or error."""
+
+    __slots__ = ("call", "state", "value", "error")
+
+    def __init__(self, call) -> None:
+        self.call, self.state, self.value, self.error = call, "queued", None, None
+
+
+class _Queue:
+    """The tasks of one engine call, run by the calling thread and the worker.
+
+    put(fn, *args, **kwargs) queues fn(*args, **kwargs).  result(task) returns
+    its value or raises its error, running queued tasks on the calling thread
+    until it is done: the task itself if no thread has taken it, else the
+    oldest.  Leaving the `with` block runs or waits for every task still
+    queued and then raises the first error of any task, so every task has
+    finished before an error is raised and none runs after the call returns.
+    A task must not wait for another: the worker could wait on itself.
     """
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
 
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pseudosplines")
-        worker = _worker
-    items = list(items)
-    theirs = worker.submit(lambda: [task(item) for item in items[1::2]])
-    try:
-        mine = [task(item) for item in items[::2]]
-    finally:
-        theirs.exception()  # waits for the worker's tasks; their error is raised below
-    results = [None] * len(items)
-    results[::2] = mine
-    results[1::2] = theirs.result()
-    return results
+    def __init__(self) -> None:
+        global _worker
+        with _worker_lock:
+            if _worker is None:
+                from queue import SimpleQueue
+
+                _worker = SimpleQueue()
+                threading.Thread(target=_work, args=(_worker,), name="pseudosplines", daemon=True).start()
+            self._inbox = _worker
+        self._queued = deque()
+        self._in_inbox = False  # or being served by the worker
+        self._running = 0
+        self._error = None
+        self._changed = threading.Condition()
+
+    def __enter__(self) -> "_Queue":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        while self._help(None):
+            pass
+        if kind is None and self._error is not None:
+            raise self._error
+
+    def put(self, fn, *args, **kwargs) -> _Task:
+        task = _Task(partial(fn, *args, **kwargs))
+        with self._changed:
+            self._queued.append(task)
+            wake, self._in_inbox = not self._in_inbox, True
+        if wake:
+            self._inbox.put(self)
+        return task
+
+    def result(self, task: _Task):
+        while self._help(task):
+            pass
+        if task.error is not None:
+            raise task.error
+        return task.value
+
+    def wait(self, tasks) -> None:
+        """result() of each task, returning none of their values."""
+        for task in tasks:
+            self.result(task)
+
+    def _help(self, task: _Task | None) -> bool:
+        """One step of waiting for `task`, or for every task if None: run it
+        or another queued task, or wait for a running one.  False when done."""
+        with self._changed:
+            done = task.state == "done" if task is not None else not (self._queued or self._running)
+            if done:
+                return False
+            mine = self._take(task)
+            if mine is None:
+                self._changed.wait()
+                return True
+        self._run(mine)
+        return True
+
+    def _serve(self) -> None:
+        """The worker's part: the oldest queued task, until none is left."""
+        while True:
+            with self._changed:
+                task = self._take(None)
+                if task is None:
+                    self._in_inbox = False
+                    return
+            self._run(task)
+
+    def _take(self, task: _Task | None) -> _Task | None:
+        """`task` if still queued, else the oldest queued task, else None; under the lock."""
+        if task is not None and task.state == "queued":
+            self._queued.remove(task)
+        elif self._queued:
+            task = self._queued.popleft()
+        else:
+            return None
+        task.state = "running"
+        self._running += 1
+        return task
+
+    def _run(self, task: _Task) -> None:
+        call, task.call = task.call, None  # the task holds no buffer once it has run
+        try:
+            value, error = call(), None
+        except BaseException as exc:
+            value, error = None, exc
+        del call
+        with self._changed:
+            task.value, task.error, task.state = value, error, "done"
+            self._running -= 1
+            if self._error is None:
+                self._error = error
+            self._changed.notify_all()
 
 
-# complex values in one scratch block of _tap_spectra (128 KiB): small enough
-# to stay in a core's cache, large enough that short signals take few blocks
+# values in one block of the engine's blocked loops (128 KiB of complex
+# values): small enough to stay in a core's cache, large enough that short
+# signals take few blocks.  _tap_spectra's blocks hold this many values;
+# those of _fold, _butterflies and _expand hold this many positions of the
+# last axis (of every row of a batch: splitting short rows costs more than it
+# saves).
 _BLOCK_VALUES = 1 << 13
 
 
-def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
-    """(4, length) spectra of the taps folded onto a circle of this length.
+class _Spectra(NamedTuple):
+    """The four bands' tap spectra, each an array of its own, and the queued
+    tasks that fill them: read the bands only once the tasks have finished."""
 
-    spectra[:, ::2**j] is exactly the spectrum of the taps folded to
+    bands: list
+    tasks: list
+
+
+def _tap_spectra(queue: _Queue, bank: FrameletBank, length: int) -> _Spectra:
+    """The (length,) spectra of each band's taps folded onto a circle of
+    this length, queued as tasks.
+
+    spectrum[::2**j] is exactly the spectrum of the taps folded to
     length // 2**j, so one set serves every level.  The four bands span W
     offsets lo..lo+W-1, so the FFT is pruned: with M = min(N, the power of
     two >= W), P = N // M and w_N = exp(-2 pi i / N),
@@ -509,17 +632,18 @@ def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
         S_n[P k1 + k2] = sum_k c_{n,k} w_N^{k2 k} w_M^{k1 k},
 
     i.e. for each k2 one length-M FFT over k1 of the taps twiddled by
-    w_N^{k2 k}, each tap in row k mod M of a (M, P) slice of the result,
-    which leaves the bins in natural order.  Taps that wrap (W > N) are the
-    P == 1 case: every twiddle is 1 and the row is the taps folded to length
-    N, as a full-length FFT would take them.
+    w_N^{k2 k}, each tap in row k mod M of the band's (M, P) array, which
+    leaves the bins in natural order.  Taps that wrap (W > N) are the P == 1
+    case: every twiddle is 1 and the row is the taps folded to length N, as
+    a full-length FFT would take them.
 
-    Each band is one task: bands 0 and 2 run on the calling thread, 1 and 3
-    on the worker.  A task works through the (M, P) slice in cache-sized
-    column blocks, each a whole number of the twiddle tables' q ~ sqrt(P)
-    columns: it twiddles one block into a scratch buffer, runs the in-place
-    FFT along its rows there, and copies it into the result, so each FFT
-    reads contiguous memory and the result is written once.
+    A task works through the (M, P) array of its band in cache-sized column
+    blocks, each a whole number of the twiddle tables' q ~ sqrt(P) columns:
+    it twiddles one block into a scratch buffer, runs the in-place FFT along
+    its rows there, and copies it into the array, so each FFT reads
+    contiguous memory and the array is written once.  A band of two or more
+    blocks is two tasks, one per half of its blocks, so that the bands and
+    the signal FFTs queued beside them share out evenly over the threads.
     """
     coeffs = [bank.coeffs[n] for n in range(4)]
     lo = min(c.offset for c in coeffs)
@@ -536,151 +660,198 @@ def _tap_spectra(bank: FrameletBank, length: int) -> np.ndarray:
     scale = -2j * np.pi / length
     outer = np.exp(scale * ((ks[:, None] * (q * np.arange(p // q))) % length))
     inner = np.exp(scale * ((ks[:, None] * np.arange(q)) % length))[:, None, :]
-    g = np.empty((4, m, p // q, q), dtype=complex)
     # each block holds `cols` columns of the outer table, (M, cols q) values
     cols = max(1, min(p // q, _BLOCK_VALUES // (m * q)))
 
-    def band(n: int) -> None:
+    def fill(n: int, g: np.ndarray, columns: range) -> None:
         taps = coeffs[n].wrapped(m)[:, None]
         block = np.empty((m, cols, q), dtype=complex)
         rows = block.reshape(m, cols * q)
-        for a in range(0, p // q, cols):
+        for a in columns:
             np.multiply((taps * outer[:, a : a + cols])[:, :, None], inner, out=block)
             np.fft.fft(rows, axis=0, out=rows)
-            g[n, :, a : a + cols] = block
+            g[:, a : a + cols] = block
 
-    _run_alternately(band, range(4))
-    return g.reshape(4, length)
+    # cols divides P/q: both are powers of two
+    starts = range(0, p // q, cols)
+    parts = [starts[: len(starts) // 2], starts[len(starts) // 2 :]] if len(starts) > 1 else [starts]
+    arrays = [np.empty((m, p // q, q), dtype=complex) for _ in range(4)]
+    tasks = [queue.put(fill, n, g, part) for n, g in enumerate(arrays) for part in parts]
+    return _Spectra([g.reshape(length) for g in arrays], tasks)
 
 
-def _fold(a_hat: np.ndarray, s: np.ndarray, out: np.ndarray, inverse: bool) -> None:
+def _fold(a_hat: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
     """out = one band of one analysis level: (a_hat * conj(s)) with its two
-    halves summed, times sqrt(2)/2, then inverse-transformed if asked.  The
-    only temporary is one half-length product."""
+    halves summed, times sqrt(2)/2, in blocks of the last axis, so the only
+    temporary is one block."""
     h = out.shape[-1]
-    np.conjugate(s[:h], out=out)
-    out *= a_hat[..., :h]
-    upper = np.empty_like(out)
-    np.conjugate(s[h:], out=upper)
-    upper *= a_hat[..., h:]
-    out += upper
-    del upper
-    out *= math.sqrt(2.0) / 2.0
-    if inverse:
-        np.fft.ifft(out, axis=-1, out=out)
+    upper = np.empty(out.shape[:-1] + (min(h, _BLOCK_VALUES),), dtype=complex)
+    for a in range(0, h, _BLOCK_VALUES):
+        b = min(a + _BLOCK_VALUES, h)
+        lower, up = out[..., a:b], upper[..., : b - a]
+        np.conjugate(s[a:b], out=lower)
+        lower *= a_hat[..., a:b]
+        np.conjugate(s[h + a : h + b], out=up)
+        up *= a_hat[..., h + a : h + b]
+        lower += up
+        lower *= math.sqrt(2.0) / 2.0
 
 
-def _butterflies(spectrum: np.ndarray, inverse: bool) -> None:
-    """The radix-2 butterflies between a (..., N) spectrum and the spectra
-    of its even and odd samples, in place on its halves lo and hi.
+def _parts(h: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two halves of range(h), one task each."""
+    return (0, h // 2), (h // 2, h)
 
-    With t = w_N^k, k = 0..N/2-1: forward, lo and hi hold the FFTs of the
-    even and of the odd samples and become the two halves of the full FFT,
-    lo + t hi and lo - t hi (decimation in time); inverse, lo and hi hold
-    half the full spectrum's halves and become lo + hi and (lo - hi) / t,
-    whose half-length inverse FFTs are the even and the odd samples
-    (decimation in frequency).  They run on the calling thread: a task on
-    the worker costs two thread handoffs, which on the short signals of the
-    frames check outweigh the butterflies.
+
+def _butterflies(spectrum: np.ndarray, start: int, stop: int, inverse: bool) -> None:
+    """Positions k in [start, stop) of the radix-2 butterflies between a
+    (..., N) spectrum and the spectra of its even and odd samples, in place
+    on its halves lo and hi, in blocks of the last axis.
+
+    With t = w_N^k: forward, lo and hi hold the FFTs of the even and of the
+    odd samples and become the two halves of the full FFT, lo + t hi and
+    lo - t hi (decimation in time); inverse, lo and hi hold half the full
+    spectrum's halves and become lo + hi and (lo - hi) / t, whose
+    half-length inverse FFTs are the even and the odd samples (decimation in
+    frequency).
     """
     h = spectrum.shape[-1] // 2
     # w_N^{+-(q a + b)} as the outer product of two tables, q ~ sqrt(N/2):
     # N/2q + q complex exponentials instead of N/2
     q = 1 << (h.bit_length() - 1) // 2
     scale = (1j if inverse else -1j) * np.pi / h
-    t = (np.exp(scale * q * np.arange(h // q))[:, None] * np.exp(scale * np.arange(q))).ravel()
-    lo, hi = spectrum[..., :h], spectrum[..., h:]
-    if inverse:
-        lo += hi
-        hi *= -2.0
-        hi += lo
-        hi *= t
-    else:
-        hi *= t
-        lo += hi
-        hi *= -2.0
-        hi += lo
+    outer, inner = np.exp(scale * q * np.arange(h // q)), np.exp(scale * np.arange(q))
+    for a in range(start, stop, _BLOCK_VALUES):
+        b = min(a + _BLOCK_VALUES, stop)
+        first = a // q
+        t = (outer[first : -(-b // q), None] * inner).ravel()[a - first * q : b - first * q]
+        lo, hi = spectrum[..., a:b], spectrum[..., h + a : h + b]
+        if inverse:
+            lo += hi
+            hi *= -2.0
+            hi += lo
+            hi *= t
+        else:
+            hi *= t
+            lo += hi
+            hi *= -2.0
+            hi += lo
 
 
-def _analysis(spectra: np.ndarray, samples: np.ndarray, levels: int) -> tuple[list, np.ndarray]:
-    """analyze_multilevel's (details, approx) for a (..., N) batch of samples.
+def _expand(bands: list, taps: list, out: np.ndarray, start: int, stop: int, gain: float) -> None:
+    """Positions k in [start, stop) of both halves of one synthesis level's
+    output spectrum: out[..., k] = gain sum_n B_n[k] S_n[k] and
+    out[..., h + k] = gain sum_n B_n[k] S_n[h + k], B_n = bands[n] (length
+    h) and S_n = taps[n] (length 2h).
+
+    A band-by-band multiply-accumulate in blocks of the last axis that
+    allocates nothing: once read, B_0's block holds each B_n S_n[h + k] in
+    turn, and B_n's block is multiplied by S_n[k] in place.  So the bands
+    are overwritten, block by block, as they are used.
+    """
+    h = bands[0].shape[-1]
+    for a in range(start, stop, _BLOCK_VALUES):
+        b = min(a + _BLOCK_VALUES, stop)
+        lower, upper = out[..., a:b], out[..., h + a : h + b]
+        scratch = bands[0][..., a:b]
+        np.multiply(scratch, taps[0][a:b], out=lower)
+        np.multiply(scratch, taps[0][h + a : h + b], out=upper)
+        for band, s in zip(bands[1:], taps[1:]):
+            np.multiply(band[..., a:b], s[h + a : h + b], out=scratch)
+            upper += scratch
+            part = band[..., a:b]
+            part *= s[a:b]
+            lower += part
+        lower *= gain
+        upper *= gain
+
+
+def _analysis(queue: _Queue, spectra: _Spectra, samples: np.ndarray, levels: int) -> tuple[list, np.ndarray]:
+    """analyze_multilevel's (details, approx) for a (..., N) batch of
+    samples, with the tap spectra from _tap_spectra on the same queue.
 
     The signal comes in as two half-length FFTs, of its even and of its odd
-    samples, one on each thread, joined by the forward butterflies.  Keeping
-    the even samples of a correlation is folding the halves of its spectrum
-    together (decimation in frequency), so the lowpass band stays a
-    spectrum; only the details and the final approximation go through
-    inverse FFTs, at half length.
+    samples, queued beside the tap spectra and joined by the forward
+    butterflies, two tasks over halves of the positions.  Keeping the even
+    samples of a correlation is folding the halves of its spectrum together
+    (decimation in frequency), so the lowpass band stays a spectrum; only
+    the details and the final approximation go through inverse FFTs, at
+    half length.
 
-    Each level is four tasks, one per band (_fold), each writing into a
-    buffer allocated here: bands 0 and 2 on the calling thread, 1 and 3 on
-    the worker.  The three details share one array; the lowpass band has its
-    own, so the details do not keep it alive once the next level has read it.
+    At each level the three detail folds are tasks while the calling thread
+    folds the lowpass band; then the details' inverse FFTs are queued, in
+    place, and run while the caller folds the next level from the lowpass.
+    The three details of a level share one array (at most 3 N/2 values);
+    the lowpass band has its own, so the details do not keep it alive, and
+    each level's spectrum is dropped once its four folds are done.  Returns
+    once all its tasks have finished.
     """
     h = samples.shape[-1] // 2
     a_hat = np.empty(samples.shape[:-1] + (2 * h,), dtype=complex)
-    _run_alternately(
-        lambda r: np.fft.fft(samples[..., r::2], axis=-1, out=a_hat[..., r * h : (r + 1) * h]), range(2)
+    queue.wait(
+        [
+            queue.put(np.fft.fft, samples[..., r::2], axis=-1, out=a_hat[..., r * h : (r + 1) * h])
+            for r in range(2)
+        ]
     )
-    _butterflies(a_hat, inverse=False)
-    details = []
+    queue.wait([queue.put(_butterflies, a_hat, a, b, False) for a, b in _parts(h)])
+    queue.wait(spectra.tasks)
+    details, inverses = [], []
     for j in range(levels):
-        taps = spectra[:, :: 2**j]
+        taps = [band[:: 2**j] for band in spectra.bands]
         low = np.empty(a_hat.shape[:-1] + (a_hat.shape[-1] // 2,), dtype=complex)
-        bands = np.empty((3,) + low.shape, dtype=complex)
-        outs = [low, *bands]
-        last = j == levels - 1
-        _run_alternately(lambda n: _fold(a_hat, taps[n], outs[n], n > 0 or last), range(4))
-        details.append(outs[1:])
+        bands = list(np.empty((3,) + low.shape, dtype=complex))
+        folds = [queue.put(_fold, a_hat, s, band) for s, band in zip(taps[1:], bands)]
+        _fold(a_hat, taps[0], low)
+        queue.wait(folds)
         a_hat = low
+        details.append(bands)
+        for band in bands + ([low] if j == levels - 1 else []):
+            inverses.append(queue.put(np.fft.ifft, band, axis=-1, out=band))
+    queue.wait(inverses)
     return details, a_hat
 
 
-def _synthesis(spectra: np.ndarray, details: list, approx: np.ndarray) -> np.ndarray:
-    """Inverse of _analysis: upsampling by two repeats a subband's spectrum,
-    so half k of the level's output spectrum is sqrt(2) sum_n B_n * S_n[half
-    k], B_n the spectra of the lowpass and the three details; the
-    approximation stays a spectrum.  The last level's einsum also takes the
-    1/2 of the inverse butterflies, which turn the output spectrum into the
-    spectra of the even and of the odd samples; two half-length inverse
-    FFTs, one on each thread, end the call, in place before one interleave.
+def _synthesis(queue: _Queue, spectra: _Spectra, details: list, approx: np.ndarray) -> np.ndarray:
+    """Inverse of _analysis, with the tap spectra from _tap_spectra on the
+    same queue: upsampling by two repeats a subband's spectrum, so half k of
+    the level's output spectrum is sqrt(2) sum_n B_n * S_n[half k], B_n the
+    spectra of the lowpass and the three details; the approximation stays a
+    spectrum.  The last level's products also take the 1/2 of the inverse
+    radix-2 butterflies, which turn the output spectrum into the spectra of
+    the even and of the odd samples; two tasks, one per half, each an
+    in-place half-length inverse FFT and a strided copy into the output, end
+    the call.
 
-    Each level's B_n are stacked in one (4, ..., h) array: the detail FFTs
-    (and, at the coarsest level, the approximation's) are one task each,
-    alternating between the calling thread and the worker.  Each half of the
-    output is then one task, a single einsum over the stack, the first half
-    on the calling thread and the second on the worker; it writes into row 0
-    of the next level's stack, so the lowpass is never copied.
+    Every subband's FFT is a task into a buffer of its own, all queued at
+    the start, coarsest level first, so the finer levels' FFTs run while the
+    coarser levels' products do.  Each level's products are two tasks
+    (_expand), each over half the positions of both output halves; they
+    write the next level's lowpass spectrum and use up this level's
+    buffers, which are dropped before the next level's are read.
     """
-    approx = np.asarray(approx)
-    stack = np.empty((4,) + approx.shape, dtype=complex)
-    inputs = [approx]
+    ffts = [  # coarsest level first
+        [queue.put(np.fft.fft, x, axis=-1, out=np.empty(np.shape(x), dtype=complex)) for x in subbands]
+        for subbands in ([approx], *reversed(details))
+    ]
+    low = queue.result(ffts.pop(0)[0])
+    queue.wait(spectra.tasks)
     for j in range(len(details) - 1, -1, -1):
-        inputs += details[j]
-        first = 4 - len(inputs)
-        _run_alternately(lambda k: np.fft.fft(inputs[k], axis=-1, out=stack[first + k]), range(len(inputs)))
-        taps = spectra[:, :: 2**j]
-        h = stack.shape[-1]
-        nxt = np.empty((4 if j else 1,) + stack.shape[1:-1] + (2 * h,), dtype=complex)
+        bands = [low, *(queue.result(task) for task in ffts.pop(0))]
+        taps = [band[:: 2**j] for band in spectra.bands]
+        h = low.shape[-1]
+        low = np.empty(low.shape[:-1] + (2 * h,), dtype=complex)
         gain = math.sqrt(2.0) if j else math.sqrt(2.0) / 2.0
+        queue.wait([queue.put(_expand, bands, taps, low, a, b, gain) for a, b in _parts(h)])
+        del bands
+    queue.wait([queue.put(_butterflies, low, a, b, True) for a, b in _parts(h)])
+    back = np.empty_like(low)
 
-        def half(part: slice) -> None:
-            out = nxt[0][..., part]
-            np.einsum("n...i,ni->...i", stack, taps[:, part], out=out)
-            out *= gain
+    def samples(r: int) -> None:
+        half = low[..., r * h : (r + 1) * h]
+        np.fft.ifft(half, axis=-1, out=half)
+        back[..., r::2] = half
 
-        _run_alternately(half, (slice(None, h), slice(h, None)))
-        stack, inputs = nxt, []
-    spectrum = stack[0]
-    _butterflies(spectrum, inverse=True)
-    h = spectrum.shape[-1] // 2
-    halves = (spectrum[..., :h], spectrum[..., h:])
-    # in place, then interleaved on the calling thread: inverse FFTs written
-    # straight into strided views of the output, or interleaving inside the
-    # two tasks, hold more resident memory
-    _run_alternately(lambda r: np.fft.ifft(halves[r], axis=-1, out=halves[r]), range(2))
-    back = np.empty_like(spectrum)
-    back[..., 0::2], back[..., 1::2] = halves
+    queue.wait([queue.put(samples, r) for r in range(2)])
     return back
 
 
@@ -692,7 +863,7 @@ def analyze(bank: FrameletBank, signal: PeriodicSignal) -> list[np.ndarray]:
     sqrt(2) makes analysis/synthesis a Parseval pair.  Taps longer than the
     signal wrap around the circle.
     """
-    details, approx = _analysis(_tap_spectra(bank, signal.length), signal.samples, 1)
+    details, approx = analyze_multilevel(bank, signal, 1)
     return [approx, *details[0]]
 
 
@@ -719,7 +890,8 @@ def analyze_multilevel(
         raise ResolutionError(
             f"signal length {signal.length} too short for {levels} levels (need >= {need})"
         )
-    return _analysis(_tap_spectra(bank, signal.length), signal.samples, levels)
+    with _Queue() as queue:
+        return _analysis(queue, _tap_spectra(queue, bank, signal.length), signal.samples, levels)
 
 
 def synthesize_multilevel(
@@ -731,7 +903,9 @@ def synthesize_multilevel(
         if len(level_details) != 3 or any(len(s) != length for s in level_details):
             raise GridCompatibilityError(f"each level needs three detail subbands of length {length}")
         length *= 2
-    return PeriodicSignal(_synthesis(_tap_spectra(bank, length), details, approx))
+    with _Queue() as queue:
+        back = _synthesis(queue, _tap_spectra(queue, bank, length), details, approx)
+    return PeriodicSignal(back)
 
 
 def bank_to_dict(bank: FrameletBank) -> dict:

@@ -51,10 +51,12 @@ def format_float(x: float) -> str:
 CSV_CHUNK_ROWS = 1 << 16
 
 
-def _require_finite(column: list[float]) -> None:
-    if not all(map(math.isfinite, column)):
-        bad = next(x for x in column if not math.isfinite(x))
-        raise DomainError(f"refusing to serialize non-finite value {bad!r}")
+def _require_finite(*columns: np.ndarray) -> None:
+    """DomainError naming the first non-finite value, taking the columns in order."""
+    for column in columns:
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise DomainError(f"refusing to serialize non-finite value {float(column[bad.argmax()])!r}")
 
 
 def write_samples_csv(path, axis_name: str, axis: Sequence[float], values) -> None:
@@ -75,11 +77,9 @@ def write_samples_csv(path, axis_name: str, axis: Sequence[float], values) -> No
             block = values[start:stop]
             with np.errstate(over="ignore"):  # |v| beyond the largest double is inf, refused below
                 magnitude = np.hypot(block.real, block.imag)
-            columns = (
-                axis[start:stop].tolist(), block.real.tolist(), block.imag.tolist(), magnitude.tolist()
-            )
-            for column in columns:
-                _require_finite(column)
+            columns = (axis[start:stop], block.real, block.imag, magnitude)
+            _require_finite(*columns)
+            columns = [column.tolist() for column in columns]
             fh.write("".join(f"{t!r},{re!r},{im!r},{mag!r}\n" for t, re, im, mag in zip(*columns)))
 
 

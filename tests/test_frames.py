@@ -359,6 +359,22 @@ def direct_synthesis(bank, subbands):
 BANK_32_2 = make_bank(3.2 + 1.0j, 2, resolution=2048)
 
 
+def tap_spectra(bank, length):
+    """The four band spectra of frames._tap_spectra, each its own array."""
+    with frames._Queue() as queue:
+        spectra = frames._tap_spectra(queue, bank, length)
+    return spectra.bands
+
+
+def engine(bank, batch, levels):
+    """The private engine on a (..., N) batch: (details, approx, back)."""
+    with frames._Queue() as queue:
+        spectra = frames._tap_spectra(queue, bank, batch.shape[-1])
+        details, approx = frames._analysis(queue, spectra, batch, levels)
+        back = frames._synthesis(queue, spectra, details, approx)
+    return details, approx, back
+
+
 @pytest.mark.parametrize("length", [16, 64, 4096])
 @pytest.mark.parametrize("bank", [BANK_15_0, BANK_32_2], ids=["1.5,0", "3.2+1i,2"])
 def test_analysis_matches_direct_circular_correlation(bank, length):
@@ -395,9 +411,7 @@ def test_multilevel_matches_the_recursive_direct_reference(length, levels):
 def test_a_batched_transform_equals_per_row_calls(shape):
     rng = np.random.default_rng(46)
     batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    spectra = frames._tap_spectra(BANK_32_2, shape[-1])
-    details, approx = frames._analysis(spectra, batch, 3)
-    back = frames._synthesis(spectra, details, approx)
+    details, approx, back = engine(BANK_32_2, batch, 3)
     for index in np.ndindex(shape[:-1]):
         row_details, row_approx = frames.analyze_multilevel(
             BANK_32_2, frames.PeriodicSignal(batch[index]), 3
@@ -418,9 +432,9 @@ def test_tap_spectra_are_built_once_per_call(monkeypatch, levels):
     calls = []
     original = frames._tap_spectra
 
-    def counting(bank, length):
+    def counting(queue, bank, length):
         calls.append(length)
-        return original(bank, length)
+        return original(queue, bank, length)
 
     monkeypatch.setattr(frames, "_tap_spectra", counting)
     for bank, length in ((BANK_15_0, 1024), (BANK_32_2, 4096)):
@@ -467,12 +481,23 @@ def strided_tap_spectra(bank, length):
 @pytest.mark.parametrize("bank", [BANK_15_0, BANK_32_2], ids=["1.5,0", "3.2+1i,2"])
 def test_tap_spectra_match_the_folded_ffts(bank, length):
     # BANK_15_0's taps wrap (P == 1) up to 1024 samples
-    got = frames._tap_spectra(bank, length)
+    got = tap_spectra(bank, length)
     ref = folded_ffts(bank, length)
-    assert got.shape == (4, length)
+    assert [band.shape for band in got] == [(length,)] * 4
     for n in range(4):
         assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
     assert np.array_equal(got, strided_tap_spectra(bank, length))
+
+
+@pytest.mark.parametrize("length", [4, 4096])
+def test_each_band_spectrum_is_its_own_array(length):
+    # four arrays of N values, not views of one (4, N) block: at 2^20
+    # samples each is 16 MiB, under glibc's 32 MiB mmap ceiling
+    got = tap_spectra(BANK_32_2, length)
+    for n, band in enumerate(got):
+        assert band.shape == (length,) and band.flags.c_contiguous
+        assert (band if band.base is None else band.base).nbytes == 16 * length
+        assert not any(np.shares_memory(band, other) for other in got[n + 1 :])
 
 
 def coefficient_bank(lo, width, seed):
@@ -506,7 +531,7 @@ def coefficient_bank(lo, width, seed):
 def test_tap_spectra_match_the_folded_ffts_for_any_support(log_length, width, lo, seed):
     bank = coefficient_bank(lo, width, seed)
     length = 2**log_length
-    got = frames._tap_spectra(bank, length)
+    got = tap_spectra(bank, length)
     ref = folded_ffts(bank, length)
     for n in range(4):
         assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
@@ -548,46 +573,97 @@ def full_fft_synthesis(spectra, details, approx):
 def test_radix2_ends_match_the_full_length_ffts(shape, levels):
     rng = np.random.default_rng([shape[-1], levels])
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    spectra = frames._tap_spectra(BANK_32_2, shape[-1])
+    spectra = np.array(tap_spectra(BANK_32_2, shape[-1]))
 
     def close(got, want):
         scale = np.abs(want).max(axis=-1)
         return bool(np.all(np.abs(got - want).max(axis=-1) <= 1e-15 * scale))
 
-    details, approx = frames._analysis(spectra, x, levels)
+    details, approx, _ = engine(BANK_32_2, x, levels)
     ref_details, ref_approx = full_fft_analysis(spectra, x, levels)
     for level, ref_level in zip(details, ref_details):
         assert all(close(got, want) for got, want in zip(level, ref_level))
     assert close(approx, ref_approx)
-    back = frames._synthesis(spectra, ref_details, ref_approx)
+    with frames._Queue() as queue:
+        queued = frames._tap_spectra(queue, BANK_32_2, shape[-1])
+        back = frames._synthesis(queue, queued, ref_details, ref_approx)
     assert close(back, full_fft_synthesis(spectra, ref_details, ref_approx))
 
 
-def test_alternating_tasks_return_in_item_order_from_both_threads():
+def test_queued_tasks_return_in_item_order_from_both_threads():
     ran_on = {}
 
     def square(k):
         ran_on[k] = threading.get_ident()
+        time.sleep(0.01)
         return k * k
 
-    assert frames._run_alternately(square, range(7)) == [k * k for k in range(7)]
-    assert {ran_on[k] for k in range(0, 7, 2)} == {threading.get_ident()}
-    assert threading.get_ident() not in {ran_on[k] for k in range(1, 7, 2)}
+    with frames._Queue() as queue:
+        tasks = [queue.put(square, k) for k in range(8)]
+        assert [queue.result(task) for task in tasks] == [k * k for k in range(8)]
+    assert threading.get_ident() in ran_on.values()
+    assert len(set(ran_on.values())) == 2
 
 
-@pytest.mark.parametrize("failing", [0, 1], ids=["calling thread", "worker"])
+def test_a_waiting_caller_runs_its_own_task_first():
+    # the worker is held in the first task; the caller, waiting for the
+    # last, runs that one before the older queued ones
+    release = threading.Event()
+    order = []
+
+    def task(k):
+        if k == 0:
+            release.wait(30)
+        order.append(k)
+        return k
+
+    with frames._Queue() as queue:
+        tasks = [queue.put(task, k) for k in range(4)]
+        try:
+            while tasks[0].state == "queued":
+                time.sleep(0.001)
+            assert queue.result(tasks[3]) == 3
+        finally:
+            release.set()
+    assert order[0] == 3 and sorted(order) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("failing", ["calling thread", "worker"])
 def test_a_failing_task_is_raised_after_the_other_thread_has_finished(failing):
+    # the first task that runs on the named thread raises; every other task
+    # of the call, queued before or after it, has finished when it is raised
+    caller = threading.get_ident()
+    raised, finished = [], []
+
+    def task(k):
+        time.sleep(0.02)
+        if not raised and (threading.get_ident() == caller) == (failing == "calling thread"):
+            raised.append(k)
+            raise ValueError(k)
+        time.sleep(0.02)
+        finished.append(k)
+
+    with pytest.raises(ValueError) as info:
+        with frames._Queue() as queue:
+            tasks = [queue.put(task, k) for k in range(8)]
+            queue.wait(tasks)
+    assert raised == [info.value.args[0]]
+    assert sorted(finished + raised) == list(range(8))
+
+
+def test_no_task_runs_after_its_call_returns():
     finished = []
 
     def task(k):
-        if k == failing:
-            raise ValueError(k)
-        time.sleep(0.05)
+        time.sleep(0.01)
         finished.append(k)
 
-    with pytest.raises(ValueError, match=str(failing)):
-        frames._run_alternately(task, range(6))
-    assert set(range(1 - failing, 6, 2)) <= set(finished)
+    with frames._Queue() as queue:
+        for k in range(6):
+            queue.put(task, k)  # never waited for inside the call
+    done = list(finished)
+    time.sleep(0.05)
+    assert sorted(done) == list(range(6)) and finished == done
 
 
 def test_round_trips_do_not_depend_on_scheduling():
@@ -640,16 +716,21 @@ def test_engine_working_memory_is_pinned():
     n = 2**16
     rng = np.random.default_rng(17)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    spectra = frames._tap_spectra(BANK_32_2, n)
-    details, approx = frames._analysis(spectra, x, 5)  # starts the worker untraced
     peaks = []
-    for run in (lambda: frames._analysis(spectra, x, 5), lambda: frames._synthesis(spectra, details, approx)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] / (16 * n))
-        finally:
-            tracemalloc.stop()
+    with frames._Queue() as queue:
+        # the tap spectra are built, and the worker started, untraced
+        spectra = frames._tap_spectra(queue, BANK_32_2, n)
+        details, approx = frames._analysis(queue, spectra, x, 5)
+        for run in (
+            lambda: frames._analysis(queue, spectra, x, 5),
+            lambda: frames._synthesis(queue, spectra, details, approx),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / (16 * n))
+            finally:
+                tracemalloc.stop()
     assert peaks[0] <= 4.05 and peaks[1] <= 3.05, peaks
 
 

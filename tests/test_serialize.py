@@ -82,6 +82,19 @@ def test_samples_csv_refuses_non_finite_values(tmp_path, bad):
         write_samples_csv(tmp_path / "bad.csv", "t", [0.0, 1.0], [1.0, bad])
 
 
+@pytest.mark.parametrize(
+    "axis, values, named",
+    [
+        ([0.0, math.inf], [math.nan, 1.0], "inf"),  # the axis column comes first
+        ([0.0, 1.0], [complex(1.0, math.nan), complex(-math.inf, 0.0)], "-inf"),  # then re, then im
+        ([0.0, 1.0], [complex(0.0, -math.inf), 1e308 + 1e308j], "-inf"),  # im before abs
+    ],
+)
+def test_samples_csv_names_the_first_non_finite_value_in_column_order(tmp_path, axis, values, named):
+    with pytest.raises(DomainError, match=f"^refusing to serialize non-finite value {named}$"):
+        write_samples_csv(tmp_path / "bad.csv", "t", axis, values)
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
 @example(complex(1.7e308, 1.7e308))  # |v| overflows
