@@ -18,6 +18,7 @@ from .analysis import lowpass_condition
 from .cascade import refinement_residual, run_cascade
 from .errors import PseudoSplineError
 from .symbol import (
+    PartitionExtrema,
     PseudoSplineOrder,
     TorusGrid,
     eval_H0,
@@ -80,13 +81,18 @@ def default_bank_resolution(order: PseudoSplineOrder) -> int:
 
 
 def run_symbol_checks(
-    order: PseudoSplineOrder, resolution: int = 4096, tolerance_scale: float = 1.0
+    order: PseudoSplineOrder,
+    resolution: int = 4096,
+    tolerance_scale: float = 1.0,
+    extrema: PartitionExtrema | None = None,
 ) -> list[CheckResult]:
+    """The symbol suite; `extrema` is partition_extrema(order,
+    TorusGrid(resolution)) if the caller has it already, else it is computed."""
     s = tolerance_scale
     grid = TorusGrid(resolution)
     results: list[CheckResult] = []
 
-    ext = partition_extrema(order, grid)
+    ext = partition_extrema(order, grid) if extrema is None else extrema
     theta = theta_bound(order)
     results.append(CheckResult("partition_min_matches_theta", abs(ext.min - theta), 1e-10 * s))
     results.append(CheckResult("partition_max_is_one", abs(ext.max - 1.0), 1e-12 * s))
@@ -170,13 +176,10 @@ def run_frames_checks(
     limit = max(1e-8, 10.0 * truncation_eps)
     frames._require_length(signal_length)
     # row i is standard_normal(n) + 1j * standard_normal(n), drawn in that
-    # order; the rows run as one batch, on one queue and one set of tap spectra
+    # order; the rows run as one batch
     noise = np.random.default_rng(seed).standard_normal((signals, 2, signal_length))
     data = noise[:, 0] + 1j * noise[:, 1]
-    with frames._Queue() as queue:
-        spectra = frames._tap_spectra(queue, bank, signal_length)
-        details, approx = frames._analysis(queue, spectra, data, 1)
-        back = frames._synthesis(queue, spectra, details, approx)
+    details, approx, back = frames._round_trip(bank, data, 1)
     energies = sum(np.sum(np.abs(band) ** 2, axis=-1) for band in (approx, *details[0]))
     inputs = np.sum(np.abs(data) ** 2, axis=-1)
     worst_energy = float(np.max(np.abs(energies - inputs) / inputs, initial=0.0))
@@ -210,10 +213,15 @@ def run_all(
     signal_length: int = 1024,
     seed: int = 7,
     tolerance_scale: float = 1.0,
+    extrema: PartitionExtrema | None = None,
 ) -> dict[str, list[CheckResult]]:
-    """Every suite, each run on its own: one that raises does not stop the others."""
+    """Every suite, each run on its own: one that raises does not stop the others.
+
+    `extrema` goes to run_symbol_checks: partition_extrema(order,
+    TorusGrid(symbol_resolution)) if the caller has it already.
+    """
     return {
-        "symbol": _suite(run_symbol_checks, order, symbol_resolution, tolerance_scale),
+        "symbol": _suite(run_symbol_checks, order, symbol_resolution, tolerance_scale, extrema),
         "cascade": _suite(run_cascade_checks, order, levels, window, step, tolerance_scale),
         "frames": _suite(
             run_frames_checks,

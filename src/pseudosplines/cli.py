@@ -282,6 +282,7 @@ def cmd_transform(ns: argparse.Namespace) -> int:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
+    ext = partition_extrema(order, TorusGrid(int(ns.grid)))
     results = run_all(
         order,
         symbol_resolution=int(ns.grid),
@@ -294,8 +295,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         signal_length=int(ns.signal_length),
         seed=int(ns.seed),
         tolerance_scale=float(ns.tolerance_scale),
+        extrema=ext,
     )
-    ext = partition_extrema(order, TorusGrid(int(ns.grid)))
     theta = theta_bound(order)
     sys.stdout.write(
         f"partition min={format_float(ext.min)} theta_bound={format_float(theta)} "

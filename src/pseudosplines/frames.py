@@ -49,6 +49,7 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConsistencyError,
@@ -603,256 +604,213 @@ class _Queue:
             self._changed.notify_all()
 
 
-# values in one block of the engine's blocked loops (128 KiB of complex
-# values): small enough to stay in a core's cache, large enough that short
-# signals take few blocks.  _tap_spectra's blocks hold this many values;
-# those of _fold, _butterflies and _expand hold this many positions of the
-# last axis (of every row of a batch: splitting short rows costs more than it
-# saves).
-_BLOCK_VALUES = 1 << 13
+# Each level filters its signal in blocks (overlap-save): a block of 2B
+# inputs (analysis) or 2B outputs (synthesis) is one FFT of length
+# L = 2B + pad, pad >= W for taps spanning W offsets, multiplied by the four
+# bands' length-L tap spectra, so short FFTs that stay in a core's cache do
+# the work of full-length ones.  B is _HALF_BLOCK, or the power of two >= W
+# if that is larger, so pad is at most about a third of L; being a power of
+# two, B divides every level.  A level whose n/2 <= B is one circular block
+# of length n, with the taps folded onto the circle.
+_HALF_BLOCK = 512
+# complex values of one task's scratch buffers, 3 L per block (2 MiB): at
+# 2^20 samples tasks of a quarter of that took a third longer per round
+# trip, as each task's Python and numpy call overhead runs on one thread at
+# a time, and tasks twice as large gained nothing
+_TASK_VALUES = 1 << 17
+# the least number of tasks _tiles cuts a row's blocks into, where it cuts
+# them and the row has that many
+_ROW_TASKS = 8
 
 
-class _Spectra(NamedTuple):
-    """The four bands' tap spectra, each an array of its own, and the queued
-    tasks that fill them: read the bands only once the tasks have finished."""
+class _Level(NamedTuple):
+    """How one level of n samples per row is cut into `blocks` blocks.
 
-    bands: list
-    tasks: list
-
-
-def _tap_spectra(queue: _Queue, bank: FrameletBank, length: int) -> _Spectra:
-    """The (length,) spectra of each band's taps folded onto a circle of
-    this length, queued as tasks.
-
-    spectrum[::2**j] is exactly the spectrum of the taps folded to
-    length // 2**j, so one set serves every level.  The four bands span W
-    offsets lo..lo+W-1, so the FFT is pruned: with M = min(N, the power of
-    two >= W), P = N // M and w_N = exp(-2 pi i / N),
-
-        S_n[P k1 + k2] = sum_k c_{n,k} w_N^{k2 k} w_M^{k1 k},
-
-    i.e. for each k2 one length-M FFT over k1 of the taps twiddled by
-    w_N^{k2 k}, each tap in row k mod M of the band's (M, P) array, which
-    leaves the bins in natural order.  Taps that wrap (W > N) are the P == 1
-    case: every twiddle is 1 and the row is the taps folded to length N, as
-    a full-length FFT would take them.
-
-    A task works through the (M, P) array of its band in cache-sized column
-    blocks, each a whole number of the twiddle tables' q ~ sqrt(P) columns:
-    it twiddles one block into a scratch buffer, runs the in-place FFT along
-    its rows there, and copies it into the array, so each FFT reads
-    contiguous memory and the array is written once.  A band of two or more
-    blocks is two tasks, one per half of its blocks, so that the bands and
-    the signal FFTs queued beside them share out evenly over the threads.
+    Analysis block b's FFT reads x[(2 B b + start + t) mod n], t < length,
+    and keeps the first B = half of its decimated outputs; synthesis block
+    b's reads subband samples from B b - lead on and keeps 2B outputs from
+    2 lead - start on.  spectra[n] is the FFT of band n's taps c_k placed at
+    (k - start) mod length.
     """
-    coeffs = [bank.coeffs[n] for n in range(4)]
+
+    length: int
+    half: int
+    blocks: int
+    start: int
+    lead: int
+    spectra: np.ndarray
+
+
+def _fft_length(n: int) -> int:
+    """The least even m >= n whose only prime factors are 2, 3 and 5."""
+    m = n + n % 2
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 2
+
+
+def _tap_spectra(coeffs: list, length: int, start: int) -> np.ndarray:
+    """(4, length): the FFT of each band's taps c_k placed at (k - start) mod length."""
+    taps = np.zeros((4, length), dtype=complex)
+    for row, c in zip(taps, coeffs):
+        np.add.at(row, (c.ks - start) % length, c.values)
+    return np.fft.fft(taps, axis=-1)
+
+
+def _levels(bank: FrameletBank, n: int, count: int) -> list[_Level]:
+    """The blocks of `count` levels from n samples down, finest first."""
+    coeffs = [bank.coeffs[band] for band in range(4)]
     lo = min(c.offset for c in coeffs)
-    width = max(c.offset + len(c.values) for c in coeffs) - lo
-    m = min(length, 1 << (width - 1).bit_length())
-    p = length // m
-    # the offset k of the one tap each row can hold when p > 1 (W <= M; at
-    # p == 1 all twiddles are 1 whatever k is), and its twiddles
-    # w_N^{k (a q + b)} as the product of a (M, P/q) and a (M, q) table,
-    # q ~ sqrt(P): M (P/q + q) complex exponentials instead of M P, with the
-    # phases reduced mod N in integers first
-    ks = lo + (np.arange(m) - lo) % m
-    q = 1 << (p.bit_length() - 1) // 2
-    scale = -2j * np.pi / length
-    outer = np.exp(scale * ((ks[:, None] * (q * np.arange(p // q))) % length))
-    inner = np.exp(scale * ((ks[:, None] * np.arange(q)) % length))[:, None, :]
-    # each block holds `cols` columns of the outer table, (M, cols q) values
-    cols = max(1, min(p // q, _BLOCK_VALUES // (m * q)))
-
-    def fill(n: int, g: np.ndarray, columns: range) -> None:
-        taps = coeffs[n].wrapped(m)[:, None]
-        block = np.empty((m, cols, q), dtype=complex)
-        rows = block.reshape(m, cols * q)
-        for a in columns:
-            np.multiply((taps * outer[:, a : a + cols])[:, :, None], inner, out=block)
-            np.fft.fft(rows, axis=0, out=rows)
-            g[:, a : a + cols] = block
-
-    # cols divides P/q: both are powers of two
-    starts = range(0, p // q, cols)
-    parts = [starts[: len(starts) // 2], starts[len(starts) // 2 :]] if len(starts) > 1 else [starts]
-    arrays = [np.empty((m, p // q, q), dtype=complex) for _ in range(4)]
-    tasks = [queue.put(fill, n, g, part) for n, g in enumerate(arrays) for part in parts]
-    return _Spectra([g.reshape(length) for g in arrays], tasks)
+    hi = max(c.offset + len(c.values) for c in coeffs) - 1
+    half = max(_HALF_BLOCK, 1 << (hi - lo).bit_length())
+    length = _fft_length(2 * half + hi - lo + 1)
+    shared = None
+    levels = []
+    for j in range(count):
+        m = n >> j
+        if m // 2 <= half:
+            levels.append(_Level(m, m // 2, 1, 0, 0, _tap_spectra(coeffs, m, 0)))
+            continue
+        if shared is None:
+            shared = _tap_spectra(coeffs, length, lo)
+        # pad = length - 2 half >= hi - lo + 1 = W: no kept output wraps
+        levels.append(_Level(length, half, m // (2 * half), lo, -(-hi // 2), shared))
+    return levels
 
 
-def _fold(a_hat: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
-    """out = one band of one analysis level: (a_hat * conj(s)) with its two
-    halves summed, times sqrt(2)/2, in blocks of the last axis, so the only
-    temporary is one block."""
-    h = out.shape[-1]
-    upper = np.empty(out.shape[:-1] + (min(h, _BLOCK_VALUES),), dtype=complex)
-    for a in range(0, h, _BLOCK_VALUES):
-        b = min(a + _BLOCK_VALUES, h)
-        lower, up = out[..., a:b], upper[..., : b - a]
-        np.conjugate(s[a:b], out=lower)
-        lower *= a_hat[..., a:b]
-        np.conjugate(s[h + a : h + b], out=up)
-        up *= a_hat[..., h + a : h + b]
-        lower += up
-        lower *= math.sqrt(2.0) / 2.0
+def _windows(x: np.ndarray, first: int, count: int, step: int, length: int) -> np.ndarray:
+    """(rows, count, length) windows, window i holding x[:, (first + i step + t) mod n]:
+    a view of x, or of a copy of the stretch they span where it wraps."""
+    stop = first + (count - 1) * step + length
+    if 0 <= first and stop <= x.shape[-1]:
+        span = x[:, first:stop]
+    else:
+        n, pieces = x.shape[-1], []
+        while first < stop:
+            pieces.append(x[:, first % n : min(n, first % n + stop - first)])
+            first += pieces[-1].shape[-1]
+        span = np.concatenate(pieces, axis=-1)
+    rows, cols = span.strides
+    return as_strided(span, (len(span), count, length), (rows, step * cols, cols), writeable=False)
 
 
-def _parts(h: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two halves of range(h), one task each."""
-    return (0, h // 2), (h // 2, h)
+def _tiles(rows: int, level: _Level) -> list[tuple[slice, range]]:
+    """A level's (rows x blocks) units cut into tasks of at most _TASK_VALUES
+    scratch values each, as (rows, blocks) pairs.
 
-
-def _butterflies(spectrum: np.ndarray, start: int, stop: int, inverse: bool) -> None:
-    """Positions k in [start, stop) of the radix-2 butterflies between a
-    (..., N) spectrum and the spectra of its even and odd samples, in place
-    on its halves lo and hi, in blocks of the last axis.
-
-    With t = w_N^k: forward, lo and hi hold the FFTs of the even and of the
-    odd samples and become the two halves of the full FFT, lo + t hi and
-    lo - t hi (decimation in time); inverse, lo and hi hold half the full
-    spectrum's halves and become lo + hi and (lo - hi) / t, whose
-    half-length inverse FFTs are the even and the odd samples (decimation in
-    frequency).
+    A lone row, or rows of more blocks than one task holds, are cut along
+    their blocks into at least _ROW_TASKS tasks each (if they have that
+    many blocks), so that a long row's working memory stays a small share
+    of it.  Other rows are cut into whole-row tasks, at least two, one per
+    thread: short rows gain less from a finer cut than each task costs.
     """
-    h = spectrum.shape[-1] // 2
-    # w_N^{+-(q a + b)} as the outer product of two tables, q ~ sqrt(N/2):
-    # N/2q + q complex exponentials instead of N/2
-    q = 1 << (h.bit_length() - 1) // 2
-    scale = (1j if inverse else -1j) * np.pi / h
-    outer, inner = np.exp(scale * q * np.arange(h // q)), np.exp(scale * np.arange(q))
-    for a in range(start, stop, _BLOCK_VALUES):
-        b = min(a + _BLOCK_VALUES, stop)
-        first = a // q
-        t = (outer[first : -(-b // q), None] * inner).ravel()[a - first * q : b - first * q]
-        lo, hi = spectrum[..., a:b], spectrum[..., h + a : h + b]
-        if inverse:
-            lo += hi
-            hi *= -2.0
-            hi += lo
-            hi *= t
-        else:
-            hi *= t
-            lo += hi
-            hi *= -2.0
-            hi += lo
+    per = max(1, _TASK_VALUES // (3 * level.length))
+    blocks = level.blocks
+    if rows == 1 or blocks > per:
+        parts = max(-(-blocks // per), min(blocks, _ROW_TASKS))
+        cuts = [range(blocks * k // parts, blocks * (k + 1) // parts) for k in range(parts)]
+        return [(slice(r, r + 1), cut) for r in range(rows) for cut in cuts]
+    parts = max(-(-rows * blocks // per), 2)
+    return [(slice(rows * k // parts, rows * (k + 1) // parts), range(blocks)) for k in range(parts)]
 
 
-def _expand(bands: list, taps: list, out: np.ndarray, start: int, stop: int, gain: float) -> None:
-    """Positions k in [start, stop) of both halves of one synthesis level's
-    output spectrum: out[..., k] = gain sum_n B_n[k] S_n[k] and
-    out[..., h + k] = gain sum_n B_n[k] S_n[h + k], B_n = bands[n] (length
-    h) and S_n = taps[n] (length 2h).
+def _analyze_blocks(x: np.ndarray, level: _Level, taps: np.ndarray, outs: list, rows: slice, blocks: range) -> None:
+    """One task of an analysis level: the blocks' FFTs, each multiplied by the
+    four (conjugated, scaled) tap spectra and folded to half length, which
+    keeps the even samples of the correlation, then a half-length inverse
+    FFT per band of which the first B outputs go to outs.  A one-block level
+    keeps all of them, so it folds straight into outs."""
+    b, h, width = level.half, level.length // 2, 2 * level.half
+    spectrum = np.fft.fft(_windows(x[rows], width * blocks.start + level.start, len(blocks), width, level.length))
+    lower, upper = spectrum[..., :h], spectrum[..., h:]
+    kept = [out[rows, b * blocks.start : b * blocks.stop].reshape(lower.shape[:-1] + (b,)) for out in outs]
+    bands = kept if b == h else np.empty((4,) + lower.shape, dtype=complex)
+    for band, s in zip(bands[:3], taps):
+        np.multiply(lower, s[:h], out=band)
+        np.multiply(upper, s[h:], out=bands[3])
+        band += bands[3]
+    np.multiply(lower, taps[3, :h], out=bands[3])
+    upper *= taps[3, h:]
+    bands[3] += upper
+    for band, out in zip(bands, kept):
+        np.fft.ifft(band, out=band)
+        if band is not out:
+            out[...] = band[..., :b]
 
-    A band-by-band multiply-accumulate in blocks of the last axis that
-    allocates nothing: once read, B_0's block holds each B_n S_n[h + k] in
-    turn, and B_n's block is multiplied by S_n[k] in place.  So the bands
-    are overwritten, block by block, as they are used.
+
+def _synthesize_blocks(subbands: list, level: _Level, taps: np.ndarray, out: np.ndarray, rows: slice, blocks: range) -> None:
+    """One task of a synthesis level: the half-length FFTs of each block's
+    stretch of the four subbands, whose spectra, repeated twice (upsampling),
+    are multiplied by the (scaled) tap spectra and summed, then inverse FFTs
+    of which 2B outputs go to out.  A one-block level keeps all of them, so
+    it sums straight into out."""
+    b, h, width = level.half, level.length // 2, 2 * level.half
+    kept = out[rows, width * blocks.start : width * blocks.stop]
+    kept = kept.reshape(len(kept), len(blocks), width)
+    spectra = np.empty((4,) + kept.shape[:-1] + (h,), dtype=complex)
+    for spectrum, sub in zip(spectra, subbands):
+        np.fft.fft(_windows(sub[rows], b * blocks.start - level.lead, len(blocks), b, h), out=spectrum)
+    total = kept if width == level.length else np.empty(kept.shape[:-1] + (level.length,), dtype=complex)
+    lower, upper = total[..., :h], total[..., h:]
+    np.multiply(spectra[0], taps[0, :h], out=lower)
+    np.multiply(spectra[0], taps[0, h:], out=upper)
+    for spectrum, s in zip(spectra[1:], taps[1:]):
+        np.multiply(spectrum, s[:h], out=spectra[0])
+        lower += spectra[0]
+        spectrum *= s[h:]
+        upper += spectrum
+    np.fft.ifft(total, out=total)
+    if total is not kept:
+        first = 2 * level.lead - level.start
+        kept[...] = total[..., first : first + width]
+
+
+def _analysis(queue: _Queue, levels: list, samples: np.ndarray) -> tuple[list, np.ndarray]:
+    """analyze_multilevel's (details, approx) for a (..., N) batch of samples,
+    one level per entry of `levels` (from _levels).
+
+    Each level's blocks are tasks (_analyze_blocks) that write the level's
+    lowpass band and its three details, which share one array; the next
+    level reads the lowpass band once every task has finished.
     """
-    h = bands[0].shape[-1]
-    for a in range(start, stop, _BLOCK_VALUES):
-        b = min(a + _BLOCK_VALUES, stop)
-        lower, upper = out[..., a:b], out[..., h + a : h + b]
-        scratch = bands[0][..., a:b]
-        np.multiply(scratch, taps[0][a:b], out=lower)
-        np.multiply(scratch, taps[0][h + a : h + b], out=upper)
-        for band, s in zip(bands[1:], taps[1:]):
-            np.multiply(band[..., a:b], s[h + a : h + b], out=scratch)
-            upper += scratch
-            part = band[..., a:b]
-            part *= s[a:b]
-            lower += part
-        lower *= gain
-        upper *= gain
+    shape = samples.shape[:-1]
+    x = samples.reshape(-1, samples.shape[-1])
+    details = []
+    for level in levels:
+        taps = np.conj(level.spectra) * (math.sqrt(2.0) / 2.0)
+        low = np.empty((len(x), x.shape[-1] // 2), dtype=complex)
+        bands = np.empty((3,) + low.shape, dtype=complex)
+        outs = [low, *bands]
+        queue.wait([queue.put(_analyze_blocks, x, level, taps, outs, *tile) for tile in _tiles(len(x), level)])
+        details.append([band.reshape(shape + (-1,)) for band in bands])
+        x = low
+    return details, x.reshape(shape + (-1,))
 
 
-def _analysis(queue: _Queue, spectra: _Spectra, samples: np.ndarray, levels: int) -> tuple[list, np.ndarray]:
-    """analyze_multilevel's (details, approx) for a (..., N) batch of
-    samples, with the tap spectra from _tap_spectra on the same queue.
-
-    The signal comes in as two half-length FFTs, of its even and of its odd
-    samples, queued beside the tap spectra and joined by the forward
-    butterflies, two tasks over halves of the positions.  Keeping the even
-    samples of a correlation is folding the halves of its spectrum together
-    (decimation in frequency), so the lowpass band stays a spectrum; only
-    the details and the final approximation go through inverse FFTs, at
-    half length.
-
-    At each level the three detail folds are tasks while the calling thread
-    folds the lowpass band; then the details' inverse FFTs are queued, in
-    place, and run while the caller folds the next level from the lowpass.
-    The three details of a level share one array (at most 3 N/2 values);
-    the lowpass band has its own, so the details do not keep it alive, and
-    each level's spectrum is dropped once its four folds are done.  Returns
-    once all its tasks have finished.
-    """
-    h = samples.shape[-1] // 2
-    a_hat = np.empty(samples.shape[:-1] + (2 * h,), dtype=complex)
-    queue.wait(
-        [
-            queue.put(np.fft.fft, samples[..., r::2], axis=-1, out=a_hat[..., r * h : (r + 1) * h])
-            for r in range(2)
-        ]
-    )
-    queue.wait([queue.put(_butterflies, a_hat, a, b, False) for a, b in _parts(h)])
-    queue.wait(spectra.tasks)
-    details, inverses = [], []
-    for j in range(levels):
-        taps = [band[:: 2**j] for band in spectra.bands]
-        low = np.empty(a_hat.shape[:-1] + (a_hat.shape[-1] // 2,), dtype=complex)
-        bands = list(np.empty((3,) + low.shape, dtype=complex))
-        folds = [queue.put(_fold, a_hat, s, band) for s, band in zip(taps[1:], bands)]
-        _fold(a_hat, taps[0], low)
-        queue.wait(folds)
-        a_hat = low
-        details.append(bands)
-        for band in bands + ([low] if j == levels - 1 else []):
-            inverses.append(queue.put(np.fft.ifft, band, axis=-1, out=band))
-    queue.wait(inverses)
-    return details, a_hat
+def _synthesis(queue: _Queue, levels: list, details: list, approx: np.ndarray) -> np.ndarray:
+    """Inverse of _analysis: each level's blocks are tasks (_synthesize_blocks)
+    that read the level's four subbands and write the next finer lowpass band."""
+    shape = np.shape(approx)[:-1]
+    low = np.reshape(approx, (-1, np.shape(approx)[-1]))
+    for level, subbands in zip(reversed(levels), reversed(details)):
+        taps = level.spectra * math.sqrt(2.0)
+        bands = [low, *(np.reshape(sub, low.shape) for sub in subbands)]
+        low = np.empty((len(low), 2 * low.shape[-1]), dtype=complex)
+        queue.wait([queue.put(_synthesize_blocks, bands, level, taps, low, *tile) for tile in _tiles(len(low), level)])
+    return low.reshape(shape + (-1,))
 
 
-def _synthesis(queue: _Queue, spectra: _Spectra, details: list, approx: np.ndarray) -> np.ndarray:
-    """Inverse of _analysis, with the tap spectra from _tap_spectra on the
-    same queue: upsampling by two repeats a subband's spectrum, so half k of
-    the level's output spectrum is sqrt(2) sum_n B_n * S_n[half k], B_n the
-    spectra of the lowpass and the three details; the approximation stays a
-    spectrum.  The last level's products also take the 1/2 of the inverse
-    radix-2 butterflies, which turn the output spectrum into the spectra of
-    the even and of the odd samples; two tasks, one per half, each an
-    in-place half-length inverse FFT and a strided copy into the output, end
-    the call.
-
-    Every subband's FFT is a task into a buffer of its own, all queued at
-    the start, coarsest level first, so the finer levels' FFTs run while the
-    coarser levels' products do.  Each level's products are two tasks
-    (_expand), each over half the positions of both output halves; they
-    write the next level's lowpass spectrum and use up this level's
-    buffers, which are dropped before the next level's are read.
-    """
-    ffts = [  # coarsest level first
-        [queue.put(np.fft.fft, x, axis=-1, out=np.empty(np.shape(x), dtype=complex)) for x in subbands]
-        for subbands in ([approx], *reversed(details))
-    ]
-    low = queue.result(ffts.pop(0)[0])
-    queue.wait(spectra.tasks)
-    for j in range(len(details) - 1, -1, -1):
-        bands = [low, *(queue.result(task) for task in ffts.pop(0))]
-        taps = [band[:: 2**j] for band in spectra.bands]
-        h = low.shape[-1]
-        low = np.empty(low.shape[:-1] + (2 * h,), dtype=complex)
-        gain = math.sqrt(2.0) if j else math.sqrt(2.0) / 2.0
-        queue.wait([queue.put(_expand, bands, taps, low, a, b, gain) for a, b in _parts(h)])
-        del bands
-    queue.wait([queue.put(_butterflies, low, a, b, True) for a, b in _parts(h)])
-    back = np.empty_like(low)
-
-    def samples(r: int) -> None:
-        half = low[..., r * h : (r + 1) * h]
-        np.fft.ifft(half, axis=-1, out=half)
-        back[..., r::2] = half
-
-    queue.wait([queue.put(samples, r) for r in range(2)])
-    return back
+def _round_trip(bank: FrameletBank, batch: np.ndarray, levels: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """(details, approx, back) of a (..., N) batch, both directions on one queue."""
+    plan = _levels(bank, batch.shape[-1], levels)
+    with _Queue() as queue:
+        details, approx = _analysis(queue, plan, batch)
+        return details, approx, _synthesis(queue, plan, details, approx)
 
 
 def analyze(bank: FrameletBank, signal: PeriodicSignal) -> list[np.ndarray]:
@@ -891,7 +849,7 @@ def analyze_multilevel(
             f"signal length {signal.length} too short for {levels} levels (need >= {need})"
         )
     with _Queue() as queue:
-        return _analysis(queue, _tap_spectra(queue, bank, signal.length), signal.samples, levels)
+        return _analysis(queue, _levels(bank, signal.length, levels), signal.samples)
 
 
 def synthesize_multilevel(
@@ -904,7 +862,7 @@ def synthesize_multilevel(
             raise GridCompatibilityError(f"each level needs three detail subbands of length {length}")
         length *= 2
     with _Queue() as queue:
-        back = _synthesis(queue, _tap_spectra(queue, bank, length), details, approx)
+        back = _synthesis(queue, _levels(bank, length, len(details)), details, approx)
     return PeriodicSignal(back)
 
 

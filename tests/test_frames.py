@@ -359,22 +359,6 @@ def direct_synthesis(bank, subbands):
 BANK_32_2 = make_bank(3.2 + 1.0j, 2, resolution=2048)
 
 
-def tap_spectra(bank, length):
-    """The four band spectra of frames._tap_spectra, each its own array."""
-    with frames._Queue() as queue:
-        spectra = frames._tap_spectra(queue, bank, length)
-    return spectra.bands
-
-
-def engine(bank, batch, levels):
-    """The private engine on a (..., N) batch: (details, approx, back)."""
-    with frames._Queue() as queue:
-        spectra = frames._tap_spectra(queue, bank, batch.shape[-1])
-        details, approx = frames._analysis(queue, spectra, batch, levels)
-        back = frames._synthesis(queue, spectra, details, approx)
-    return details, approx, back
-
-
 @pytest.mark.parametrize("length", [16, 64, 4096])
 @pytest.mark.parametrize("bank", [BANK_15_0, BANK_32_2], ids=["1.5,0", "3.2+1i,2"])
 def test_analysis_matches_direct_circular_correlation(bank, length):
@@ -407,11 +391,11 @@ def test_multilevel_matches_the_recursive_direct_reference(length, levels):
     assert np.linalg.norm(back - want) <= 1e-13 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("shape", [(3, 256), (2, 2, 256)])
+@pytest.mark.parametrize("shape", [(3, 256), (2, 2, 256), (3, 4096)])
 def test_a_batched_transform_equals_per_row_calls(shape):
     rng = np.random.default_rng(46)
     batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    details, approx, back = engine(BANK_32_2, batch, 3)
+    details, approx, back = frames._round_trip(BANK_32_2, batch, 3)
     for index in np.ndindex(shape[:-1]):
         row_details, row_approx = frames.analyze_multilevel(
             BANK_32_2, frames.PeriodicSignal(batch[index]), 3
@@ -424,123 +408,64 @@ def test_a_batched_transform_equals_per_row_calls(shape):
         assert np.abs(back[index] - row_back).max() <= 1e-14 * np.abs(row_back).max()
 
 
-@pytest.mark.parametrize("levels", [1, 3, 5])
-def test_tap_spectra_are_built_once_per_call(monkeypatch, levels):
-    # BANK_15_0's 803 offsets round up to M = 1024, so 1024 samples take P = 1
-    # (one length-1024 FFT per band); BANK_32_2's 125 fit in M = 128, so
-    # 4096 samples take P = 32 short FFTs per band
-    calls = []
-    original = frames._tap_spectra
-
-    def counting(queue, bank, length):
-        calls.append(length)
-        return original(queue, bank, length)
-
-    monkeypatch.setattr(frames, "_tap_spectra", counting)
-    for bank, length in ((BANK_15_0, 1024), (BANK_32_2, 4096)):
-        sig = frames.PeriodicSignal(np.arange(float(length)))
-        details, approx = frames.analyze_multilevel(bank, sig, levels)
-        assert calls == [length]
-        calls.clear()
-        frames.synthesize_multilevel(bank, details, approx)
-        assert calls == [length]
-        calls.clear()
-
-
 def folded_ffts(bank, length):
     """The reference spectra: one full-length FFT of each band's folded taps."""
     return np.array([np.fft.fft(bank.coeffs[n].wrapped(length)) for n in range(4)])
 
 
-def strided_tap_spectra(bank, length):
-    """The pruned tap spectra with each band's FFT run in place along the rows
-    of its strided (M, P) slice of the result, one band after another.
-
-    This is the loop _tap_spectra replaced by its cache-sized column blocks;
-    the two do the same arithmetic and must agree bit for bit.
-    """
-    coeffs = [bank.coeffs[n] for n in range(4)]
-    lo = min(c.offset for c in coeffs)
-    width = max(c.offset + len(c.values) for c in coeffs) - lo
-    m = min(length, 1 << (width - 1).bit_length())
-    p = length // m
-    ks = lo + (np.arange(m) - lo) % m
-    q = 1 << (p.bit_length() - 1) // 2
-    scale = -2j * np.pi / length
-    outer = np.exp(scale * ((ks[:, None] * (q * np.arange(p // q))) % length))
-    inner = np.exp(scale * ((ks[:, None] * np.arange(q)) % length))[:, None, :]
-    g = np.empty((4, m, p // q, q), dtype=complex)
-    for n in range(4):
-        np.multiply((coeffs[n].wrapped(m)[:, None] * outer)[:, :, None], inner, out=g[n])
-        rows = g[n].reshape(m, p)
-        np.fft.fft(rows, axis=0, out=rows)
-    return g.reshape(4, length)
+def shifted_folded_ffts(bank, length, start):
+    """folded_ffts of the taps moved `start` places back: c_k at k - start."""
+    # the phases reduced mod length in integers first, so they stay exact
+    return folded_ffts(bank, length) * np.exp(2j * np.pi * (start * np.arange(length) % length) / length)
 
 
 @pytest.mark.parametrize("length", [4, 16, 64, 1024, 2**16])
 @pytest.mark.parametrize("bank", [BANK_15_0, BANK_32_2], ids=["1.5,0", "3.2+1i,2"])
 def test_tap_spectra_match_the_folded_ffts(bank, length):
-    # BANK_15_0's taps wrap (P == 1) up to 1024 samples
-    got = tap_spectra(bank, length)
-    ref = folded_ffts(bank, length)
-    assert [band.shape for band in got] == [(length,)] * 4
+    # unshifted, as a one-block level takes them, they are the folded FFTs
+    # bit for bit; shifted to the span's first offset, as the blocks take
+    # them, they carry the shift's phase (BANK_15_0's 803 offsets wrap below 1024)
+    coeffs = [bank.coeffs[n] for n in range(4)]
+    assert np.array_equal(frames._tap_spectra(coeffs, length, 0), folded_ffts(bank, length))
+    lo = min(c.offset for c in coeffs)
+    got = frames._tap_spectra(coeffs, length, lo)
+    ref = shifted_folded_ffts(bank, length, lo)
     for n in range(4):
         assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
-    assert np.array_equal(got, strided_tap_spectra(bank, length))
 
 
-@pytest.mark.parametrize("length", [4, 4096])
-def test_each_band_spectrum_is_its_own_array(length):
-    # four arrays of N values, not views of one (4, N) block: at 2^20
-    # samples each is 16 MiB, under glibc's 32 MiB mmap ceiling
-    got = tap_spectra(BANK_32_2, length)
-    for n, band in enumerate(got):
-        assert band.shape == (length,) and band.flags.c_contiguous
-        assert (band if band.base is None else band.base).nbytes == 16 * length
-        assert not any(np.shares_memory(band, other) for other in got[n + 1 :])
+@pytest.mark.parametrize("levels", [1, 3, 5])
+def test_tap_spectra_are_built_once_per_call(monkeypatch, levels):
+    # every multi-block level shares one set of block spectra, and each
+    # one-block level has its own: BANK_15_0's blocks of 2 x 1024 outputs
+    # make every level of 1024 samples one block; BANK_32_2's of 2 x 512
+    # take 4096 and 2048 samples in blocks of 1152 points
+    calls = []
+    original = frames._tap_spectra
 
+    def counting(coeffs, length, start):
+        calls.append((length, start))
+        return original(coeffs, length, start)
 
-def coefficient_bank(lo, width, seed):
-    """A coefficient-only bank whose four bands span exactly lo..lo+width-1:
-    band 0 covers the whole span, bands 1-3 random runs inside it."""
-    rng = np.random.default_rng(seed)
-    coeffs = {}
-    for n in range(4):
-        start = 0 if n == 0 else int(rng.integers(0, width))
-        size = width if n == 0 else int(rng.integers(1, width - start + 1))
-        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        coeffs[n] = frames.FilterCoefficients(
-            band=n, offset=lo + start, values=values, tail_norm=0.0, aliasing_estimate=0.0
-        )
-    return frames.FrameletBank(
-        order=PseudoSplineOrder(1.5, 0), grid=TorusGrid(64), H=None, coeffs=coeffs, truncation_eps=1e-10
-    )
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    log_length=st.integers(min_value=2, max_value=10),
-    width=st.one_of(st.integers(min_value=1, max_value=300), st.sampled_from([2**k for k in range(9)])),
-    lo=st.integers(min_value=-400, max_value=400),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@example(log_length=10, width=125, lo=-62, seed=0)  # W < L, P = 8
-@example(log_length=8, width=64, lo=-3, seed=1)  # W a power of two, P = 4
-@example(log_length=7, width=128, lo=5, seed=2)  # W == L, P = 1
-@example(log_length=2, width=300, lo=-299, seed=3)  # W > L: the taps wrap
-def test_tap_spectra_match_the_folded_ffts_for_any_support(log_length, width, lo, seed):
-    bank = coefficient_bank(lo, width, seed)
-    length = 2**log_length
-    got = tap_spectra(bank, length)
-    ref = folded_ffts(bank, length)
-    for n in range(4):
-        assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
-    assert np.array_equal(got, strided_tap_spectra(bank, length))
+    monkeypatch.setattr(frames, "_tap_spectra", counting)
+    one_block = {1: [], 3: [(1024, 0)], 5: [(1024, 0), (512, 0), (256, 0)]}[levels]
+    expected = {
+        1024: [(1024 >> j, 0) for j in range(levels)],
+        4096: [(1152, -62)] + one_block,
+    }
+    for bank, length in ((BANK_15_0, 1024), (BANK_32_2, 4096)):
+        sig = frames.PeriodicSignal(np.arange(float(length)))
+        details, approx = frames.analyze_multilevel(bank, sig, levels)
+        assert calls == expected[length]
+        calls.clear()
+        frames.synthesize_multilevel(bank, details, approx)
+        assert calls == expected[length]
+        calls.clear()
 
 
 def full_fft_analysis(spectra, samples, levels):
-    """_analysis with one full-length FFT in and every step serial: the
-    transform before its ends were split into two half-length FFTs."""
+    """Analysis with one full-length FFT in, each level folding the halves
+    of the spectrum, and one inverse FFT per subband out."""
     a_hat = np.fft.fft(samples, axis=-1)
     details = []
     for j in range(levels):
@@ -570,24 +495,109 @@ def full_fft_synthesis(spectra, details, approx):
     [((4,), 1), ((8,), 1), ((8,), 2)]
     + [(shape, levels) for shape in ((1024,), (2**16,), (50, 1024)) for levels in range(1, 6)],
 )
-def test_radix2_ends_match_the_full_length_ffts(shape, levels):
+def test_blocks_match_the_full_length_ffts(shape, levels):
+    # BANK_32_2's 125 offsets take blocks of 2 x 512 outputs and FFTs of
+    # 1152 points, so 2^16 samples run 64 blocks at level 0 and 1024
+    # samples, like the frames check's batch, one block; BANK_15_0's 803
+    # take 2 x 1024 outputs in FFTs of 2880 points, and wrap at 1024
     rng = np.random.default_rng([shape[-1], levels])
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    spectra = np.array(tap_spectra(BANK_32_2, shape[-1]))
 
     def close(got, want):
         scale = np.abs(want).max(axis=-1)
-        return bool(np.all(np.abs(got - want).max(axis=-1) <= 1e-15 * scale))
+        return bool(np.all(np.abs(got - want).max(axis=-1) <= 1e-14 * scale))
 
-    details, approx, _ = engine(BANK_32_2, x, levels)
-    ref_details, ref_approx = full_fft_analysis(spectra, x, levels)
-    for level, ref_level in zip(details, ref_details):
-        assert all(close(got, want) for got, want in zip(level, ref_level))
-    assert close(approx, ref_approx)
+    for bank in (BANK_15_0, BANK_32_2):
+        spectra = folded_ffts(bank, shape[-1])
+        details, approx, back = frames._round_trip(bank, x, levels)
+        ref_details, ref_approx = full_fft_analysis(spectra, x, levels)
+        for level, ref_level in zip(details, ref_details):
+            assert all(close(got, want) for got, want in zip(level, ref_level))
+        assert close(approx, ref_approx)
+        assert close(back, full_fft_synthesis(spectra, details, approx))
+
+
+def coefficient_bank(lo, width, seed):
+    """A coefficient-only bank whose four bands span exactly lo..lo+width-1:
+    band 0 covers the whole span, bands 1-3 random runs inside it."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for n in range(4):
+        start = 0 if n == 0 else int(rng.integers(0, width))
+        size = width if n == 0 else int(rng.integers(1, width - start + 1))
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        coeffs[n] = frames.FilterCoefficients(
+            band=n, offset=lo + start, values=values, tail_norm=0.0, aliasing_estimate=0.0
+        )
+    return frames.FrameletBank(
+        order=PseudoSplineOrder(1.5, 0), grid=TorusGrid(64), H=None, coeffs=coeffs, truncation_eps=1e-10
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    log_length=st.integers(min_value=2, max_value=12),
+    width=st.one_of(st.integers(min_value=1, max_value=300), st.sampled_from([2**k for k in range(10)])),
+    lo=st.integers(min_value=-400, max_value=400),
+    start=st.integers(min_value=-400, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(log_length=2, width=300, lo=-299, start=-299, seed=3)  # W > L: the taps wrap
+def test_tap_spectra_match_the_folded_ffts_for_any_support(log_length, width, lo, start, seed):
+    bank = coefficient_bank(lo, width, seed)
+    length = 2**log_length
+    got = frames._tap_spectra([bank.coeffs[n] for n in range(4)], length, start)
+    ref = shifted_folded_ffts(bank, length, start)
+    for n in range(4):
+        assert np.abs(got[n] - ref[n]).max() <= 1e-13 * np.abs(ref[n]).max()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    log_length=st.integers(min_value=2, max_value=12),
+    width=st.one_of(st.integers(min_value=1, max_value=300), st.sampled_from([2**k for k in range(10)])),
+    lo=st.integers(min_value=-400, max_value=400),
+    batch=st.sampled_from([(), (3,), (2, 2)]),
+    levels=st.integers(min_value=1, max_value=11),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(log_length=12, width=128, lo=-64, batch=(), levels=3, seed=0)  # pad == W, 4 blocks
+@example(log_length=12, width=256, lo=400, batch=(2, 2), levels=2, seed=1)  # pad == W, all k > 0
+@example(log_length=11, width=300, lo=-400, batch=(3,), levels=1, seed=2)  # 2 blocks, all k < 0
+@example(log_length=12, width=512, lo=-255, batch=(), levels=2, seed=3)  # B = W = 512, pad == W
+@example(log_length=2, width=300, lo=-299, batch=(3,), levels=1, seed=4)  # W > N: the taps wrap
+def test_each_level_matches_direct_correlation_for_any_support(log_length, width, lo, batch, levels, seed):
+    # the engine's levels one at a time, each against the direct oracles on
+    # its own input, and the multilevel round trip bit for bit against them
+    bank = coefficient_bank(lo, width, seed)
+    length = 2**log_length
+    levels = min(levels, log_length - 1)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(batch + (length,)) + 1j * rng.standard_normal(batch + (length,))
+    details, approx, back = frames._round_trip(bank, x, levels)
+    sums = [bank.coeffs[n].sum_abs() for n in range(4)]
+    plan = frames._levels(bank, length, levels)
+    lows = [x]
     with frames._Queue() as queue:
-        queued = frames._tap_spectra(queue, BANK_32_2, shape[-1])
-        back = frames._synthesis(queue, queued, ref_details, ref_approx)
-    assert close(back, full_fft_synthesis(spectra, ref_details, ref_approx))
+        for j, level in enumerate(plan):
+            (got_details,), low = frames._analysis(queue, [level], lows[-1])
+            assert all(np.array_equal(a, b) for a, b in zip(got_details, details[j]))
+            for index in np.ndindex(batch):
+                scale = 1e-13 * math.sqrt(2.0) * np.abs(lows[-1][index]).max()
+                got = [low[index], *(band[index] for band in got_details)]
+                for n, want in enumerate(direct_analysis(bank, lows[-1][index])):
+                    assert np.abs(got[n] - want).max() <= scale * sums[n]
+            lows.append(low)
+        assert np.array_equal(lows[-1], approx)
+        out = approx
+        for j in reversed(range(levels)):
+            subbands = [out, *details[j]]
+            out = frames._synthesis(queue, [plan[j]], [details[j]], subbands[0])
+            for index in np.ndindex(batch):
+                want = direct_synthesis(bank, [s[index] for s in subbands])
+                bound = 1e-13 * math.sqrt(2.0) * sum(t * np.abs(s[index]).max() for t, s in zip(sums, subbands))
+                assert np.abs(out[index] - want).max() <= bound
+    assert np.array_equal(out, back)
 
 
 def test_queued_tasks_return_in_item_order_from_both_threads():
@@ -710,20 +720,23 @@ def test_concurrent_callers_share_the_worker(monkeypatch):
 
 
 def test_engine_working_memory_is_pinned():
-    # peaks in complex values per sample, buffers of both threads included;
-    # tracemalloc sees numpy's arrays but not pocketfft's own scratch
-    # buffers, so resident memory is still judged by the benchmark
+    # peaks in complex values per sample, buffers of both threads included:
+    # the outputs (analysis: 1.5 N + 0.75 N + ... of details, and the last
+    # level's input beside its outputs; synthesis: N of output and N/2 of
+    # input) plus at most two tasks' scratch; tracemalloc sees numpy's
+    # arrays but not pocketfft's own scratch buffers, so resident memory is
+    # still judged by the benchmark
     n = 2**16
     rng = np.random.default_rng(17)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    plan = frames._levels(BANK_32_2, n, 5)
     peaks = []
     with frames._Queue() as queue:
-        # the tap spectra are built, and the worker started, untraced
-        spectra = frames._tap_spectra(queue, BANK_32_2, n)
-        details, approx = frames._analysis(queue, spectra, x, 5)
+        # the worker is started untraced
+        details, approx = frames._analysis(queue, plan, x)
         for run in (
-            lambda: frames._analysis(queue, spectra, x, 5),
-            lambda: frames._synthesis(queue, spectra, details, approx),
+            lambda: frames._analysis(queue, plan, x),
+            lambda: frames._synthesis(queue, plan, details, approx),
         ):
             tracemalloc.start()
             try:
@@ -731,7 +744,7 @@ def test_engine_working_memory_is_pinned():
                 peaks.append(tracemalloc.get_traced_memory()[1] / (16 * n))
             finally:
                 tracemalloc.stop()
-    assert peaks[0] <= 4.05 and peaks[1] <= 3.05, peaks
+    assert peaks[0] <= 3.75 and peaks[1] <= 2.75, peaks
 
 
 def _transform_in_child(conn):
