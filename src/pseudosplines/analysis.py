@@ -26,6 +26,7 @@ from .symbol import PseudoSplineOrder, eval_H0, kappa, theta_bound
 __all__ = [
     "AnalysisReport",
     "lowpass_condition",
+    "require_frame",
     "lowpass_floor",
     "holder_exponent",
     "approximation_order",
@@ -47,6 +48,23 @@ def lowpass_condition(order: PseudoSplineOrder) -> tuple[bool, float]:
     y = order.beta
     s = float(sum(math.atan2(y, order.alpha + j) for j in range(order.ell + 1)))
     return -0.5 * math.pi < s < 0.5 * math.pi, s
+
+
+def require_frame(order: PseudoSplineOrder) -> None:
+    """Raise ConditionError unless the arctan lowpass condition holds.
+
+    Off the condition the partition |H0(gamma)|^2 + |H0(gamma+1/2)|^2 can
+    exceed 1 for orders inside the ell bound, e.g. 1.0156 for (1.5+2i, 1),
+    and then no UEP bank exists.  The condition is sufficient, not
+    necessary; extended orders that meet it can still fail (see
+    theta_bound).
+    """
+    ok, s = lowpass_condition(order)
+    if not ok:
+        raise ConditionError(
+            f"arctan sum {s:.6f} outside (-pi/2, pi/2) for {order.label()}; "
+            "the partition bound and the frame are not guaranteed"
+        )
 
 
 def lowpass_floor(profile: FourierProfile) -> float:

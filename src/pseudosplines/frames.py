@@ -51,6 +51,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .analysis import require_frame
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -320,7 +321,8 @@ def build_bank(
 ) -> FrameletBank:
     """Sample H0..H3 on the grid and extract truncated filter coefficients.
 
-    The half-period shift inside H1 is realized as an exact index roll, so
+    Orders off the arctan lowpass condition raise ConditionError first
+    (analysis.require_frame).  The half-period shift inside H1 is realized as an exact index roll, so
     the two filter-bank identities hold at the sample level to rounding
     accuracy for any order, shifted ones included.
     """
@@ -332,6 +334,7 @@ def build_bank(
     max_k = int(max_k)
     if max_k < 1 or n < 2 * max_k:
         raise ResolutionError(f"max_k must satisfy 1 <= max_k <= resolution/2, got {max_k}")
+    require_frame(order)
     h0 = sample_H0(order, grid)
     sigma = eval_sigma(order, grid.gamma)
     phase = np.exp(2j * np.pi * grid.gamma)

@@ -495,7 +495,9 @@ def full_fft_synthesis(spectra, details, approx):
     [((4,), 1), ((8,), 1), ((8,), 2)]
     + [(shape, levels) for shape in ((1024,), (2**16,), (50, 1024)) for levels in range(1, 6)],
 )
-def test_blocks_match_the_full_length_ffts(shape, levels):
+def test_radix2_ends_match_the_full_length_ffts(shape, levels):
+    # named for the radix-2 end FFTs that the block engine replaced; the
+    # contract is the same: the engine matches the full-length FFT oracles
     # BANK_32_2's 125 offsets take blocks of 2 x 512 outputs and FFTs of
     # 1152 points, so 2^16 samples run 64 blocks at level 0 and 1024
     # samples, like the frames check's batch, one block; BANK_15_0's 803

@@ -9,7 +9,9 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from pseudosplines.errors import OrderError, ResolutionError
+from pseudosplines.analysis import lowpass_condition, require_frame
+from pseudosplines.errors import ConditionError, OrderError, ResolutionError
+from pseudosplines.frames import build_bank
 from pseudosplines.symbol import (
     PseudoSplineOrder,
     TorusGrid,
@@ -283,12 +285,26 @@ def test_partition_bounds_property(alpha, beta, ell_pick):
     z = complex(alpha, beta)
     ell = min(ell_pick, max_ell(alpha))
     order = PseudoSplineOrder(z, ell)
+    if not lowpass_condition(order)[0]:
+        # the bounds are not guaranteed here, and the frame gate refuses it
+        with pytest.raises(ConditionError, match="arctan sum"):
+            require_frame(order)
+        return
     grid = TorusGrid(256)
     ext = partition_extrema(order, grid)
     th = theta_bound(order)
     assert ext.min >= th - 1e-10
     assert ext.max <= 1.0 + 1e-10
     assert np.abs(sample_H0(order, grid).values).max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("z, ell", [(1.5 + 2j, 1), (6 + 9j, 4)])
+def test_orders_off_the_lowpass_condition_get_no_bank(z, ell):
+    # inside the ell bound, yet the partition exceeds 1
+    order = PseudoSplineOrder(z, ell)
+    assert partition_extrema(order, TorusGrid(4096)).max > 1.0 + 1e-3
+    with pytest.raises(ConditionError, match=r"arctan sum .* outside \(-pi/2, pi/2\)"):
+        build_bank(order, TorusGrid(256))
 
 
 # ---------------------------------------------------------------- shifts
