@@ -44,6 +44,7 @@ import math
 import os
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -463,148 +464,59 @@ class PeriodicSignal:
 
 
 # The transform engine's second thread.  numpy's FFTs and ufunc loops release
-# the GIL, so a task on the worker runs beside the calling thread.  Each
-# engine call puts its tasks on its own _Queue as soon as their inputs exist;
-# the worker takes them oldest first, and the calling thread runs them too
-# whenever it waits for a result, so no queued task waits while a thread is
-# free.  One worker per process serves the queues of every calling thread:
-# its inbox holds each queue with tasks for it at most once, and it serves a
-# queue until the queue is empty, so it wakes once per burst of tasks rather
-# than once per task.  It starts at the first transform; a forked child,
-# which inherits the inbox but not the thread (and perhaps a held lock),
-# starts its own.
-_worker = None
-_worker_lock = threading.Lock()
+# the GIL, so a task on the worker runs beside the calling thread.  Each level
+# of an engine call hands its tasks to _run_tasks: one executor worker and the
+# calling thread pop them from one deque until it is empty.  A caller never
+# waits on another caller's tasks: if the worker has not started on this
+# call's deque when the caller's own pass over it ends, the caller cancels
+# the worker's pass.  The executor starts at the first transform; a forked
+# child, which inherits the executor but not its thread (and perhaps a held
+# lock), starts its own.  Once interpreter shutdown has begun (in an atexit
+# hook, say) the executor takes no work and the caller runs every task.
+_executor = None
+_executor_lock = threading.Lock()
 
 
-def _forget_worker() -> None:
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+def _forget_executor() -> None:
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_worker)
+os.register_at_fork(after_in_child=_forget_executor)
 
 
-def _work(inbox) -> None:
+def _drain(tasks: deque, errors: list) -> None:
     while True:
-        inbox.get()._serve()
-
-
-class _Task:
-    """One queued call and, once it has run, its value or error."""
-
-    __slots__ = ("call", "state", "value", "error")
-
-    def __init__(self, call) -> None:
-        self.call, self.state, self.value, self.error = call, "queued", None, None
-
-
-class _Queue:
-    """The tasks of one engine call, run by the calling thread and the worker.
-
-    put(fn, *args, **kwargs) queues fn(*args, **kwargs).  result(task) returns
-    its value or raises its error, running queued tasks on the calling thread
-    until it is done: the task itself if no thread has taken it, else the
-    oldest.  Leaving the `with` block runs or waits for every task still
-    queued and then raises the first error of any task, so every task has
-    finished before an error is raised and none runs after the call returns.
-    A task must not wait for another: the worker could wait on itself.
-    """
-
-    def __init__(self) -> None:
-        global _worker
-        with _worker_lock:
-            if _worker is None:
-                from queue import SimpleQueue
-
-                _worker = SimpleQueue()
-                threading.Thread(target=_work, args=(_worker,), name="pseudosplines", daemon=True).start()
-            self._inbox = _worker
-        self._queued = deque()
-        self._in_inbox = False  # or being served by the worker
-        self._running = 0
-        self._error = None
-        self._changed = threading.Condition()
-
-    def __enter__(self) -> "_Queue":
-        return self
-
-    def __exit__(self, kind, exc, tb) -> None:
-        while self._help(None):
-            pass
-        if kind is None and self._error is not None:
-            raise self._error
-
-    def put(self, fn, *args, **kwargs) -> _Task:
-        task = _Task(partial(fn, *args, **kwargs))
-        with self._changed:
-            self._queued.append(task)
-            wake, self._in_inbox = not self._in_inbox, True
-        if wake:
-            self._inbox.put(self)
-        return task
-
-    def result(self, task: _Task):
-        while self._help(task):
-            pass
-        if task.error is not None:
-            raise task.error
-        return task.value
-
-    def wait(self, tasks) -> None:
-        """result() of each task, returning none of their values."""
-        for task in tasks:
-            self.result(task)
-
-    def _help(self, task: _Task | None) -> bool:
-        """One step of waiting for `task`, or for every task if None: run it
-        or another queued task, or wait for a running one.  False when done."""
-        with self._changed:
-            done = task.state == "done" if task is not None else not (self._queued or self._running)
-            if done:
-                return False
-            mine = self._take(task)
-            if mine is None:
-                self._changed.wait()
-                return True
-        self._run(mine)
-        return True
-
-    def _serve(self) -> None:
-        """The worker's part: the oldest queued task, until none is left."""
-        while True:
-            with self._changed:
-                task = self._take(None)
-                if task is None:
-                    self._in_inbox = False
-                    return
-            self._run(task)
-
-    def _take(self, task: _Task | None) -> _Task | None:
-        """`task` if still queued, else the oldest queued task, else None; under the lock."""
-        if task is not None and task.state == "queued":
-            self._queued.remove(task)
-        elif self._queued:
-            task = self._queued.popleft()
-        else:
-            return None
-        task.state = "running"
-        self._running += 1
-        return task
-
-    def _run(self, task: _Task) -> None:
-        call, task.call = task.call, None  # the task holds no buffer once it has run
         try:
-            value, error = call(), None
+            task = tasks.popleft()
+        except IndexError:
+            return
+        try:
+            task()
         except BaseException as exc:
-            value, error = None, exc
-        del call
-        with self._changed:
-            task.value, task.error, task.state = value, error, "done"
-            self._running -= 1
-            if self._error is None:
-                self._error = error
-            self._changed.notify_all()
+            errors.append(exc)
+
+
+def _run_tasks(tasks) -> None:
+    """Call every task (functools.partial) on the calling thread and the
+    worker, and return once all have finished, raising the first error of
+    any; none runs after the call returns.  A task must not wait for
+    another: it could be waiting for its own thread."""
+    global _executor
+    tasks, errors = deque(tasks), []
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(1, thread_name_prefix="pseudosplines")
+        executor = _executor
+    try:
+        helper = executor.submit(_drain, tasks, errors)
+    except RuntimeError:  # interpreter shutdown has begun
+        helper = None
+    _drain(tasks, errors)
+    if helper is not None and not helper.cancel():
+        helper.result()
+    if errors:
+        raise errors[0]
 
 
 # Each level filters its signal in blocks (overlap-save): a block of 2B
@@ -773,7 +685,7 @@ def _synthesize_blocks(subbands: list, level: _Level, taps: np.ndarray, out: np.
         kept[...] = total[..., first : first + width]
 
 
-def _analysis(queue: _Queue, levels: list, samples: np.ndarray) -> tuple[list, np.ndarray]:
+def _analysis(levels: list, samples: np.ndarray) -> tuple[list, np.ndarray]:
     """analyze_multilevel's (details, approx) for a (..., N) batch of samples,
     one level per entry of `levels` (from _levels).
 
@@ -789,13 +701,13 @@ def _analysis(queue: _Queue, levels: list, samples: np.ndarray) -> tuple[list, n
         low = np.empty((len(x), x.shape[-1] // 2), dtype=complex)
         bands = np.empty((3,) + low.shape, dtype=complex)
         outs = [low, *bands]
-        queue.wait([queue.put(_analyze_blocks, x, level, taps, outs, *tile) for tile in _tiles(len(x), level)])
+        _run_tasks(partial(_analyze_blocks, x, level, taps, outs, *tile) for tile in _tiles(len(x), level))
         details.append([band.reshape(shape + (-1,)) for band in bands])
         x = low
     return details, x.reshape(shape + (-1,))
 
 
-def _synthesis(queue: _Queue, levels: list, details: list, approx: np.ndarray) -> np.ndarray:
+def _synthesis(levels: list, details: list, approx: np.ndarray) -> np.ndarray:
     """Inverse of _analysis: each level's blocks are tasks (_synthesize_blocks)
     that read the level's four subbands and write the next finer lowpass band."""
     shape = np.shape(approx)[:-1]
@@ -804,16 +716,15 @@ def _synthesis(queue: _Queue, levels: list, details: list, approx: np.ndarray) -
         taps = level.spectra * math.sqrt(2.0)
         bands = [low, *(np.reshape(sub, low.shape) for sub in subbands)]
         low = np.empty((len(low), 2 * low.shape[-1]), dtype=complex)
-        queue.wait([queue.put(_synthesize_blocks, bands, level, taps, low, *tile) for tile in _tiles(len(low), level)])
+        _run_tasks(partial(_synthesize_blocks, bands, level, taps, low, *tile) for tile in _tiles(len(low), level))
     return low.reshape(shape + (-1,))
 
 
 def _round_trip(bank: FrameletBank, batch: np.ndarray, levels: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """(details, approx, back) of a (..., N) batch, both directions on one queue."""
+    """(details, approx, back) of a (..., N) batch, both directions from one plan of levels."""
     plan = _levels(bank, batch.shape[-1], levels)
-    with _Queue() as queue:
-        details, approx = _analysis(queue, plan, batch)
-        return details, approx, _synthesis(queue, plan, details, approx)
+    details, approx = _analysis(plan, batch)
+    return details, approx, _synthesis(plan, details, approx)
 
 
 def analyze(bank: FrameletBank, signal: PeriodicSignal) -> list[np.ndarray]:
@@ -844,29 +755,35 @@ def analyze_multilevel(
     (coarsest last), plus the final lowpass subband.  Needs 2**(levels+1)
     samples, so every subband has at least two, as analyze's do.
     """
-    if levels < 1:
-        raise DomainError(f"levels must be >= 1, got {levels}")
+    if not isinstance(levels, (int, np.integer)) or levels < 1:
+        raise DomainError(f"levels must be an integer >= 1, got {levels!r}")
     need = 2 ** (levels + 1)
     if signal.length < need:
         raise ResolutionError(
             f"signal length {signal.length} too short for {levels} levels (need >= {need})"
         )
-    with _Queue() as queue:
-        return _analysis(queue, _levels(bank, signal.length, levels), signal.samples)
+    return _analysis(_levels(bank, signal.length, levels), signal.samples)
 
 
 def synthesize_multilevel(
     bank: FrameletBank, details: list[list[np.ndarray]], approx: np.ndarray
 ) -> PeriodicSignal:
     """Inverse of analyze_multilevel."""
+    if len(details) < 1:
+        raise DomainError("synthesis needs the details of at least one level")
+    if np.ndim(approx) != 1:
+        raise ResolutionError(f"approx must be one-dimensional, got shape {np.shape(approx)}")
     length = len(approx)
     for level_details in reversed(details):
-        if len(level_details) != 3 or any(len(s) != length for s in level_details):
+        if len(level_details) != 3 or any(np.shape(s) != (length,) for s in level_details):
             raise GridCompatibilityError(f"each level needs three detail subbands of length {length}")
         length *= 2
-    with _Queue() as queue:
-        back = _synthesis(queue, _levels(bank, length, len(details)), details, approx)
-    return PeriodicSignal(back)
+    _require_length(length)
+    back = _synthesis(_levels(bank, length, len(details)), details, approx)
+    back.setflags(write=False)
+    signal = object.__new__(PeriodicSignal)
+    object.__setattr__(signal, "samples", back)  # the engine's own fresh array, not copied
+    return signal
 
 
 def bank_to_dict(bank: FrameletBank) -> dict:

@@ -3,10 +3,13 @@
 import json
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -385,6 +388,7 @@ def test_multilevel_matches_the_recursive_direct_reference(length, levels):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     assert np.linalg.norm(approx - ref) <= 1e-13 * np.linalg.norm(ref)
     back = frames.synthesize_multilevel(BANK_32_2, details, approx).samples
+    assert back.dtype == complex and back.shape == (length,) and not back.flags.writeable
     want = approx
     for level_details in reversed(details):
         want = direct_synthesis(BANK_32_2, [want, *level_details])
@@ -580,70 +584,46 @@ def test_each_level_matches_direct_correlation_for_any_support(log_length, width
     sums = [bank.coeffs[n].sum_abs() for n in range(4)]
     plan = frames._levels(bank, length, levels)
     lows = [x]
-    with frames._Queue() as queue:
-        for j, level in enumerate(plan):
-            (got_details,), low = frames._analysis(queue, [level], lows[-1])
-            assert all(np.array_equal(a, b) for a, b in zip(got_details, details[j]))
-            for index in np.ndindex(batch):
-                scale = 1e-13 * math.sqrt(2.0) * np.abs(lows[-1][index]).max()
-                got = [low[index], *(band[index] for band in got_details)]
-                for n, want in enumerate(direct_analysis(bank, lows[-1][index])):
-                    assert np.abs(got[n] - want).max() <= scale * sums[n]
-            lows.append(low)
-        assert np.array_equal(lows[-1], approx)
-        out = approx
-        for j in reversed(range(levels)):
-            subbands = [out, *details[j]]
-            out = frames._synthesis(queue, [plan[j]], [details[j]], subbands[0])
-            for index in np.ndindex(batch):
-                want = direct_synthesis(bank, [s[index] for s in subbands])
-                bound = 1e-13 * math.sqrt(2.0) * sum(t * np.abs(s[index]).max() for t, s in zip(sums, subbands))
-                assert np.abs(out[index] - want).max() <= bound
+    for j, level in enumerate(plan):
+        (got_details,), low = frames._analysis([level], lows[-1])
+        assert all(np.array_equal(a, b) for a, b in zip(got_details, details[j]))
+        for index in np.ndindex(batch):
+            scale = 1e-13 * math.sqrt(2.0) * np.abs(lows[-1][index]).max()
+            got = [low[index], *(band[index] for band in got_details)]
+            for n, want in enumerate(direct_analysis(bank, lows[-1][index])):
+                assert np.abs(got[n] - want).max() <= scale * sums[n]
+        lows.append(low)
+    assert np.array_equal(lows[-1], approx)
+    out = approx
+    for j in reversed(range(levels)):
+        subbands = [out, *details[j]]
+        out = frames._synthesis([plan[j]], [details[j]], subbands[0])
+        for index in np.ndindex(batch):
+            want = direct_synthesis(bank, [s[index] for s in subbands])
+            bound = 1e-13 * math.sqrt(2.0) * sum(t * np.abs(s[index]).max() for t, s in zip(sums, subbands))
+            assert np.abs(out[index] - want).max() <= bound
     assert np.array_equal(out, back)
 
 
-def test_queued_tasks_return_in_item_order_from_both_threads():
-    ran_on = {}
+def test_tasks_run_on_both_threads():
+    # each task waits (at most 30 s) until tasks have run on two threads
+    ran_on = set()
+    both = threading.Event()
 
-    def square(k):
-        ran_on[k] = threading.get_ident()
-        time.sleep(0.01)
-        return k * k
+    def task():
+        ran_on.add(threading.get_ident())
+        if len(ran_on) == 2:
+            both.set()
+        both.wait(30)
 
-    with frames._Queue() as queue:
-        tasks = [queue.put(square, k) for k in range(8)]
-        assert [queue.result(task) for task in tasks] == [k * k for k in range(8)]
-    assert threading.get_ident() in ran_on.values()
-    assert len(set(ran_on.values())) == 2
-
-
-def test_a_waiting_caller_runs_its_own_task_first():
-    # the worker is held in the first task; the caller, waiting for the
-    # last, runs that one before the older queued ones
-    release = threading.Event()
-    order = []
-
-    def task(k):
-        if k == 0:
-            release.wait(30)
-        order.append(k)
-        return k
-
-    with frames._Queue() as queue:
-        tasks = [queue.put(task, k) for k in range(4)]
-        try:
-            while tasks[0].state == "queued":
-                time.sleep(0.001)
-            assert queue.result(tasks[3]) == 3
-        finally:
-            release.set()
-    assert order[0] == 3 and sorted(order) == [0, 1, 2, 3]
+    frames._run_tasks([task] * 8)
+    assert threading.get_ident() in ran_on and len(ran_on) == 2
 
 
 @pytest.mark.parametrize("failing", ["calling thread", "worker"])
 def test_a_failing_task_is_raised_after_the_other_thread_has_finished(failing):
     # the first task that runs on the named thread raises; every other task
-    # of the call, queued before or after it, has finished when it is raised
+    # of the call, run before or after it, has finished when it is raised
     caller = threading.get_ident()
     raised, finished = [], []
 
@@ -656,9 +636,7 @@ def test_a_failing_task_is_raised_after_the_other_thread_has_finished(failing):
         finished.append(k)
 
     with pytest.raises(ValueError) as info:
-        with frames._Queue() as queue:
-            tasks = [queue.put(task, k) for k in range(8)]
-            queue.wait(tasks)
+        frames._run_tasks(partial(task, k) for k in range(8))
     assert raised == [info.value.args[0]]
     assert sorted(finished + raised) == list(range(8))
 
@@ -670,12 +648,59 @@ def test_no_task_runs_after_its_call_returns():
         time.sleep(0.01)
         finished.append(k)
 
-    with frames._Queue() as queue:
-        for k in range(6):
-            queue.put(task, k)  # never waited for inside the call
+    frames._run_tasks(partial(task, k) for k in range(6))
     done = list(finished)
     time.sleep(0.05)
     assert sorted(done) == list(range(6)) and finished == done
+
+
+def test_a_caller_does_not_wait_on_another_callers_tasks():
+    # one caller's task holds the worker (for at most 10 s); a second
+    # caller's transform returns meanwhile, as it cancels the worker's pass
+    # over its tasks rather than waiting for the worker to reach it
+    held, release, released = threading.Event(), threading.Event(), []
+
+    def hold():
+        if threading.current_thread() is first:
+            held.wait(10)  # until the worker has taken the other task
+        else:
+            held.set()
+            release.wait(10)
+            released.append(True)
+
+    first = threading.Thread(target=frames._run_tasks, args=([hold, hold],))
+    first.start()
+    try:
+        assert held.wait(10), "the worker did not take a task within 10 s"
+        sig = frames.PeriodicSignal(np.arange(1024.0))
+        frames.analyze_multilevel(BANK_32_2, sig, 3)
+        assert not released
+    finally:
+        release.set()
+        first.join(30)
+    assert not first.is_alive()
+
+
+def test_a_transform_in_an_atexit_hook_runs_and_the_process_exits():
+    # by the time atexit hooks run the executor takes no more work, so the
+    # hook's transform runs on the calling thread alone
+    script = (
+        "import atexit\n"
+        "import numpy as np\n"
+        "from pseudosplines import frames\n"
+        "from pseudosplines.symbol import PseudoSplineOrder, TorusGrid\n"
+        "bank = frames.build_bank(PseudoSplineOrder(2.0, 0), TorusGrid(256))\n"
+        "sig = frames.PeriodicSignal(np.arange(4096.0))\n"
+        "want = frames.analyze_multilevel(bank, sig, 3)[1]\n"
+        "def hook():\n"
+        "    got = frames.analyze_multilevel(bank, sig, 3)[1]\n"
+        "    print('equal' if np.array_equal(got, want) else 'differ', flush=True)\n"
+        "atexit.register(hook)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(frames.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "equal\n"
 
 
 def test_round_trips_do_not_depend_on_scheduling():
@@ -691,8 +716,8 @@ def test_round_trips_do_not_depend_on_scheduling():
 
 def test_concurrent_callers_share_the_worker(monkeypatch):
     # more calling threads than cores, switching often, racing to start the
-    # worker; every round trip must still equal the serial one
-    monkeypatch.setattr(frames, "_worker", None)
+    # executor; every round trip must still equal the serial one
+    monkeypatch.setattr(frames, "_executor", None)
     rng = np.random.default_rng(18)
     signals = [frames.PeriodicSignal(rng.standard_normal(1024) + 0j) for _ in range(4)]
 
@@ -701,7 +726,7 @@ def test_concurrent_callers_share_the_worker(monkeypatch):
         return frames.synthesize_multilevel(BANK_32_2, details, approx).samples
 
     want = [round_trip(sig) for sig in signals]
-    monkeypatch.setattr(frames, "_worker", None)
+    monkeypatch.setattr(frames, "_executor", None)
     got = {}
 
     def caller(k):
@@ -733,31 +758,33 @@ def test_engine_working_memory_is_pinned():
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     plan = frames._levels(BANK_32_2, n, 5)
     peaks = []
-    with frames._Queue() as queue:
-        # the worker is started untraced
-        details, approx = frames._analysis(queue, plan, x)
-        for run in (
-            lambda: frames._analysis(queue, plan, x),
-            lambda: frames._synthesis(queue, plan, details, approx),
-        ):
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1] / (16 * n))
-            finally:
-                tracemalloc.stop()
+    # the executor is started untraced
+    details, approx = frames._analysis(plan, x)
+    for run in (
+        lambda: frames._analysis(plan, x),
+        lambda: frames._synthesis(plan, details, approx),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / (16 * n))
+        finally:
+            tracemalloc.stop()
     assert peaks[0] <= 3.75 and peaks[1] <= 2.75, peaks
 
 
 def _transform_in_child(conn):
+    forgotten = frames._executor is None
     _, approx = frames.analyze_multilevel(BANK_32_2, frames.PeriodicSignal(np.arange(64.0)), 2)
-    conn.send(approx)
+    conn.send((forgotten, approx))
     conn.close()
 
 
 def test_a_forked_child_runs_transforms_on_its_own_worker():
-    # the child inherits the parent's executor but not its thread
+    # the child inherits the parent's executor but not its thread, so it
+    # forgets the executor and starts its own
     _, want = frames.analyze_multilevel(BANK_32_2, frames.PeriodicSignal(np.arange(64.0)), 2)
+    assert frames._executor is not None
     ctx = multiprocessing.get_context("fork")
     here, there = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_transform_in_child, args=(there,))
@@ -765,14 +792,14 @@ def test_a_forked_child_runs_transforms_on_its_own_worker():
     there.close()
     try:
         assert here.poll(30), "the forked child's transform did not return within 30 s"
-        got = here.recv()
+        forgotten, got = here.recv()
         child.join(30)
     finally:
         if child.is_alive():
             child.kill()
             child.join()
     assert child.exitcode == 0
-    assert np.array_equal(got, want)
+    assert forgotten and np.array_equal(got, want)
 
 
 def test_multilevel_synthesis_validates_subband_shapes():
@@ -781,6 +808,29 @@ def test_multilevel_synthesis_validates_subband_shapes():
         frames.synthesize_multilevel(BANK_15_0, [details[0], details[1][:2]], approx)
     with pytest.raises(GridCompatibilityError):
         frames.synthesize_multilevel(BANK_15_0, [details[1], details[0]], approx)
+
+
+SIGNAL_64 = frames.PeriodicSignal(np.ones(64))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: frames.analyze_multilevel(BANK_15_0, SIGNAL_64, 2.0), DomainError),
+        (lambda: frames.synthesize_multilevel(BANK_15_0, [], np.ones(16)), DomainError),
+        (lambda: frames.synthesize(BANK_15_0, [np.ones(3)] * 4), ResolutionError),
+        (lambda: frames.synthesize(BANK_15_0, [np.ones((2, 16))] * 4), ResolutionError),
+        (lambda: frames.synthesize(BANK_15_0, [np.ones(16)] + [np.ones((16, 2))] * 3), GridCompatibilityError),
+    ],
+    ids=["float levels", "no details", "length 6", "2-D subbands", "2-D details"],
+)
+def test_multilevel_calls_reject_bad_input_before_the_engine_runs(monkeypatch, call, error):
+    def engine(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(frames, "_levels", engine)
+    with pytest.raises(error):
+        call()
 
 
 # ---------------------------------------------------------------- serialization
