@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import FourierProfile, run_cascade
+from .cascade import Profile, run_cascade
 from .errors import ConditionError, WindowError
 from .symbol import PseudoSplineOrder, eval_H0, kappa, theta_bound
 
@@ -67,14 +67,10 @@ def require_frame(order: PseudoSplineOrder) -> None:
         )
 
 
-def lowpass_floor(profile: FourierProfile) -> float:
+def lowpass_floor(profile: Profile) -> float:
     """min |phi_hat| over |gamma| <= 1/4; requires the arctan condition."""
-    ok, s = lowpass_condition(profile.order)
-    if not ok:
-        raise ConditionError(
-            f"arctan sum {s:.6f} outside (-pi/2, pi/2); no positive floor is guaranteed"
-        )
-    sel = np.abs(profile.gammas) <= 0.25 + 1e-12
+    require_frame(profile.order)
+    sel = np.abs(profile.points) <= 0.25 + 1e-12
     return float(np.min(np.abs(profile.values[sel])))
 
 
@@ -94,7 +90,7 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(slope), resid
 
 
-def fit_decay(profile: FourierProfile) -> tuple[float, float]:
+def fit_decay(profile: Profile) -> tuple[float, float]:
     """Envelope decay exponent of |phi_hat| and the fit's rms residual.
 
     The exponent is the least-squares slope of log |phi_hat| against
@@ -102,7 +98,7 @@ def fit_decay(profile: FourierProfile) -> tuple[float, float]:
     [16, min(512, 0.9 * window)]; it sits at or below -(2 alpha - kappa).
     """
     lo, hi = 16.0, min(512.0, 0.9 * profile.half_width)
-    g = profile.gammas
+    g = profile.points
     mag = np.abs(profile.values)
     pos = np.nonzero((g >= lo) & (g <= hi))[0]
     if len(pos) < 8:

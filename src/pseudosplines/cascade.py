@@ -45,12 +45,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridCompatibilityError, ResolutionError, ToleranceError, WindowError
+from .errors import DomainError, GridCompatibilityError, ResolutionError, ToleranceError, WindowError
 from .symbol import PseudoSplineOrder, eval_H0, kappa
 
 __all__ = [
-    "FourierProfile",
-    "TimeProfile",
+    "Profile",
     "CascadeDiagnostics",
     "run_cascade",
     "refinement_residual",
@@ -60,22 +59,31 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FourierProfile:
-    """Samples of a cascade iterate on gamma_j = j*step, |j| <= half_width/step."""
+class Profile:
+    """Samples on the axis j*step, |j*step| <= half_width, in one of two domains.
+
+    domain 'fourier': a cascade iterate phi_hat_m on gamma_j, m = level_m;
+    domain 'time': a time-domain function on t_j, with tail_estimate
+    bounding the error of the dropped spectrum.
+    """
 
     order: PseudoSplineOrder
-    level_m: int
+    domain: str
     half_width: float
     step: float
     values: np.ndarray
+    level_m: int = 0
+    tail_estimate: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.domain not in ("fourier", "time"):
+            raise DomainError(f"profile domain must be 'fourier' or 'time', got {self.domain!r}")
         v = np.asarray(self.values, dtype=complex).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
-    def gammas(self) -> np.ndarray:
+    def points(self) -> np.ndarray:
         m = (len(self.values) - 1) // 2
         return (np.arange(len(self.values)) - m) * self.step
 
@@ -85,43 +93,14 @@ class FourierProfile:
     def to_dict(self) -> dict:
         from .serialize import order_to_dict
 
+        if self.domain == "fourier":
+            head = {"level_m": self.level_m, "window": self.half_width}
+        else:
+            head = {"half_width": self.half_width, "tail_estimate": self.tail_estimate}
         return {
             "order": order_to_dict(self.order),
-            "level_m": self.level_m,
-            "window": self.half_width,
+            **head,
             "step": self.step,
-            "values": [[v.real, v.imag] for v in self.values],
-        }
-
-
-@dataclass(frozen=True)
-class TimeProfile:
-    """Samples of a time-domain function on t_j = j*step, |t_j| <= half_width."""
-
-    order: PseudoSplineOrder
-    half_width: float
-    step: float
-    values: np.ndarray
-    tail_estimate: float = 0.0
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def ts(self) -> np.ndarray:
-        m = (len(self.values) - 1) // 2
-        return (np.arange(len(self.values)) - m) * self.step
-
-    def to_dict(self) -> dict:
-        from .serialize import order_to_dict
-
-        return {
-            "order": order_to_dict(self.order),
-            "half_width": self.half_width,
-            "step": self.step,
-            "tail_estimate": self.tail_estimate,
             "values": [[v.real, v.imag] for v in self.values],
         }
 
@@ -195,7 +174,7 @@ def run_cascade(
     window: float = 64.0,
     step: float = 1.0 / 64.0,
     sup_tolerance: float = 1e-10,
-) -> tuple[FourierProfile, CascadeDiagnostics]:
+) -> tuple[Profile, CascadeDiagnostics]:
     """Iterate the cascade and collect convergence diagnostics.
 
     Stops at the first level whose sup-norm change falls below
@@ -211,9 +190,8 @@ def run_cascade(
     mirrored full-length samples, so values and diagnostics are bit for bit
     those of the full-grid iteration.
     """
-    if levels != int(levels) or int(levels) < 1:
-        raise WindowError(f"levels must be a positive integer, got {levels!r}")
-    levels = int(levels)
+    if not isinstance(levels, (int, np.integer)) or levels < 1:
+        raise DomainError(f"levels must be an integer >= 1, got {levels!r}")
     g = _grid(window, step)
     half = g[(len(g) - 1) // 2 :]
     extent = float(half[-1])
@@ -265,17 +243,17 @@ def run_cascade(
     current = np.concatenate((current[:0:-1], current))
     if order.shift != 0.0:
         current = current * np.exp(-2j * np.pi * order.shift * g)
-    profile = FourierProfile(order, level_done, extent, step, current)
+    profile = Profile(order, "fourier", extent, step, current, level_m=level_done)
     return profile, diag
 
 
-def refinement_residual(profile: FourierProfile) -> float:
+def refinement_residual(profile: Profile) -> float:
     """Max |phi_hat(gamma) - H0(gamma/2) phi_hat(gamma/2)| for |gamma| <= window/2.
 
     Only even grid indices are paired (gamma/2 then lies on the grid), so
     the residual involves no interpolation.
     """
-    g = profile.gammas
+    g = profile.points
     v = profile.values
     mid = (len(v) - 1) // 2
     half = profile.half_width / 2.0
@@ -338,7 +316,7 @@ def fourier_to_time(gammas: np.ndarray, values: np.ndarray, ts: np.ndarray) -> n
     return rows * np.exp(2j * np.pi * np.mod(gammas[0] * ts, 1.0))
 
 
-def _tail_estimate(profile: FourierProfile) -> float:
+def _tail_estimate(profile: Profile) -> float:
     """Spectral-tail bound 2 c (1+W)^{-d} / d from the envelope decay.
 
     The envelope exponent is 2 alpha - kappa; the constant c is calibrated
@@ -352,18 +330,18 @@ def _tail_estimate(profile: FourierProfile) -> float:
         raise ToleranceError(
             f"spectral decay exponent {decay:.3f} too small to bound the tail integral"
         )
-    g = profile.gammas
+    g = profile.points
     outer = np.abs(g) >= profile.half_width / 2.0
     c_est = float(np.max(np.abs(profile.values[outer]) * (1.0 + np.abs(g[outer])) ** decay))
     return 2.0 * c_est * (1.0 + profile.half_width) ** (-margin) / margin
 
 
 def to_time_domain(
-    profile: FourierProfile,
+    profile: Profile,
     half_width: float = 4.0,
     step: float = 1.0 / 32.0,
     tolerance: float = 1e-3,
-) -> TimeProfile:
+) -> Profile:
     """Time-domain samples by inverse trapezoid sum over the profile window.
 
     The spectrum outside the window is dropped; the induced absolute error
@@ -382,5 +360,5 @@ def to_time_domain(
         )
     n = int(math.ceil(half_width / step - 1e-9))
     ts = (np.arange(2 * n + 1) - n) * step
-    values = fourier_to_time(profile.gammas, profile.values, ts)
-    return TimeProfile(profile.order, float(n * step), step, values, tail)
+    values = fourier_to_time(profile.points, profile.values, ts)
+    return Profile(profile.order, "time", float(n * step), step, values, tail_estimate=tail)

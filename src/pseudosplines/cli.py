@@ -185,7 +185,7 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
         step=step,
         sup_tolerance=float(ns.sup_tolerance),
     )
-    _write_series(ns, "cascade_phihat", "gamma", profile.gammas, profile.values, profile.to_dict)
+    _write_series(ns, "cascade_phihat", "gamma", profile.points, profile.values, profile.to_dict)
     outdir = _outdir(ns)
     diag_path = os.path.join(outdir, "cascade_diagnostics.json")
     write_json(diag_path, diag.to_dict())
@@ -198,7 +198,7 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
             step=_to_step(ns.dt),
             tolerance=float(ns.time_tolerance),
         )
-        _write_series(ns, "cascade_phi_time", "t", tp.ts, tp.values, tp.to_dict)
+        _write_series(ns, "cascade_phi_time", "t", tp.points, tp.values, tp.to_dict)
         sys.stdout.write(f"tail_estimate={format_float(tp.tail_estimate)}\n")
     return 0
 
@@ -253,7 +253,7 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
         )
         for n in (1, 2, 3):
             psi = frames.framelet_time(bank, phi, n)
-            _write_series(ns, f"framelet_psi_n{n}", "t", psi.ts, psi.values, psi.to_dict)
+            _write_series(ns, f"framelet_psi_n{n}", "t", psi.points, psi.values, psi.to_dict)
     return 0
 
 

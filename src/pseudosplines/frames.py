@@ -28,14 +28,11 @@ geometrically for integer z, where the bank becomes effectively finite.
 so H2, H3 have real time-domain filters for real unshifted orders.
 
 Near its zeros (x = sin^2 pi gamma < 0.05, or 1 - x < 0.05, as eta(x) is
-symmetric under x -> 1-x) R is evaluated from a power series in x whose
-leading 1 of |q|^2 = (1-x)^{2 alpha} |p(x)|^2 is cancelled symbolically,
-where the direct formula for eta loses all digits.  The series still sums
-large alternating binomial terms, whose cancellation grows with Re z: it
-agrees with the direct formula to 1e-14 of sup eta up to Re z = 50, but
-only to 6.4e-10 at (80, 5) and 3.6e-9 at (150, 30), and at (200, 0) not
-at all.  Full accuracy beyond Re z = 50 needs the cancellation-free eta of
-ROADMAP item 2 (the incomplete beta function).
+symmetric under x -> 1-x), where the direct formula for eta loses all
+digits, R comes from d(x) = 1 - q(x) = I_x(ell+1, z), the regularized
+incomplete beta function, summed by its positive-term power series
+(symbol._d_coefficients): eta = 2 Re d - |d|^2 - x^{2 alpha} |p(1-x)|^2,
+and d carries the factor x^{ell+1} in closed form.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -61,15 +58,16 @@ from .errors import (
     ToleranceError,
     WindowError,
 )
-from .cascade import FourierProfile, TimeProfile
+from .cascade import Profile
 from .symbol import (
+    _D_SERIES_LIMIT,
     PseudoSplineOrder,
     SampledSymbol,
     TorusGrid,
+    _abs_q_squared,
     _as_array,
-    _binomial,
+    _d_scaled,
     _p_taylor,
-    _taylor_coefficients,
     sample_H0,
 )
 
@@ -91,17 +89,7 @@ __all__ = [
     "bank_from_dict",
 ]
 
-_SERIES_CUTOFF = 0.05
 _ETA_ERROR_FLOOR = -1e-9
-
-
-def _abs_q_squared(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
-    """|q(x)|^2 = (1-x)^{2 alpha} |p(x)|^2, elementwise on [0, 1]."""
-    p = _p_taylor(order, x)
-    out = np.zeros(x.shape)
-    interior = x < 1.0
-    out[interior] = np.exp(2.0 * order.alpha * np.log1p(-x[interior])) * np.abs(p[interior]) ** 2
-    return out
 
 
 def _eta(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
@@ -129,44 +117,21 @@ def eval_eta(order: PseudoSplineOrder, gamma):
     return float(eta[()]) if scalar else eta
 
 
-@lru_cache(maxsize=128)
-def _eta_series(z: complex, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Series data for eta(x) near x = 0 with the constant term cancelled.
-
-    Returns (e_tail, b_reflected): e_tail[i] is the coefficient of
-    x^{ell+1+i} in |q(x)|^2 (the coefficients of x^1..x^ell vanish
-    identically and are dropped), and b_reflected are the polynomial
-    coefficients of |p(1-x)|^2, so that
-
-        eta(x) = -sum_i e_tail[i] x^{ell+1+i} - x^{2 alpha} |p(1-x)|^2.
-    """
-    t = np.asarray(_taylor_coefficients(z, ell))
-    b = np.convolve(t, np.conj(t)).real
-    m_max = ell + 40
-    w = np.array([_binomial(2.0 * z.real, j).real * (-1.0) ** j for j in range(m_max + 1)])
-    e = np.convolve(w, b)[: m_max + 1]
-    e_tail = e[ell + 1 :].copy()
-    pr = np.polynomial.Polynomial(t)(np.polynomial.Polynomial([1.0, -1.0])).coef
-    b_reflected = np.convolve(pr, np.conj(pr)).real.copy()
-    e_tail.setflags(write=False)
-    b_reflected.setflags(write=False)
-    return e_tail, b_reflected
-
-
 def _ratio_series(order: PseudoSplineOrder, xt: np.ndarray) -> np.ndarray:
-    """R as a function of x for x = xt < _SERIES_CUTOFF (cancellation-free)."""
-    e_tail, b_reflected = _eta_series(order.z, order.ell)
-    num = np.zeros(xt.shape)
-    for coeff in e_tail[::-1]:
-        num = num * xt - coeff
-    expo = 2.0 * order.alpha - order.ell - 1.0
+    """R as a function of x for x = xt < _D_SERIES_LIMIT, from g = d(x) / x^{ell+1}.
+
+    With d = 1 - q(x), 1 - |q(x)|^2 = 2 Re d - |d|^2 and
+    |q(1-x)|^2 = x^{2 alpha} |p(1-x)|^2, so the factor x^{ell+1} of eta
+    cancels in closed form and no leading 1 is ever subtracted.
+    """
+    a = order.ell + 1
+    g = _d_scaled(order, xt)
+    reflected = np.zeros(xt.shape)
     pos = xt > 0.0
-    frac = np.zeros(xt.shape)
-    bx = np.zeros(xt.shape)
-    for coeff in b_reflected[::-1]:
-        bx = bx * xt + coeff
-    frac[pos] = np.exp(expo * np.log(xt[pos])) * bx[pos]
-    return (num - frac) / (4.0 ** (order.ell + 1) * (1.0 - xt) ** (order.ell + 1))
+    xp = xt[pos]
+    reflected[pos] = np.exp((2.0 * order.alpha - a) * np.log(xp)) * np.abs(_p_taylor(order, 1.0 - xp)) ** 2
+    num = 2.0 * g.real - xt**a * np.abs(g) ** 2 - reflected
+    return num / (4.0 * (1.0 - xt)) ** a
 
 
 def eval_sigma(order: PseudoSplineOrder, gamma):
@@ -180,7 +145,7 @@ def eval_sigma(order: PseudoSplineOrder, gamma):
     x = np.sin(np.pi * arr) ** 2
     xt = np.minimum(x, 1.0 - x)
     ratio = np.empty(xt.shape)
-    near = xt < _SERIES_CUTOFF
+    near = xt < _D_SERIES_LIMIT
     if np.any(near):
         ratio[near] = _ratio_series(order, xt[near])
     far = ~near
@@ -379,7 +344,7 @@ def _interp_periodic(values: np.ndarray, resolution: int, gamma: np.ndarray) -> 
     return values[i0] * (1.0 - frac) + values[i1] * frac
 
 
-def framelet_hat(bank: FrameletBank, profile: FourierProfile, n: int, gamma):
+def framelet_hat(bank: FrameletBank, profile: Profile, n: int, gamma):
     """psi_hat_n(gamma) = H_n(gamma/2) phi_hat(gamma/2), n in {1, 2, 3}.
 
     Both factors are linearly interpolated on their grids (H_n periodically),
@@ -405,7 +370,7 @@ def framelet_hat(bank: FrameletBank, profile: FourierProfile, n: int, gamma):
     return complex(out[()]) if scalar else out
 
 
-def framelet_time(bank: FrameletBank, phi: TimeProfile, n: int) -> TimeProfile:
+def framelet_time(bank: FrameletBank, phi: Profile, n: int) -> Profile:
     """psi_n on phi's time grid via psi_n(t) = 2 sum_k c_{k,n} phi(2t + k).
 
     Requires 1/step to be an even integer so that 2t + k lands on the grid;
@@ -433,7 +398,7 @@ def framelet_time(bank: FrameletBank, phi: TimeProfile, n: int) -> TimeProfile:
     out *= 2.0
     sup_phi = float(np.max(np.abs(vals)))
     tail = 2.0 * coeffs.tail_norm * sup_phi + 2.0 * coeffs.sum_abs() * phi.tail_estimate
-    return TimeProfile(bank.order, phi.half_width, phi.step, out, tail)
+    return Profile(bank.order, "time", phi.half_width, phi.step, out, tail_estimate=tail)
 
 
 def _require_length(n: int) -> None:

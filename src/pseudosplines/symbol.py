@@ -25,6 +25,7 @@ periodizes the (non-periodic for fractional u) raw shift phase implicitly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -245,14 +246,18 @@ def _check_unit_interval(x: np.ndarray, closed_right: bool) -> None:
         raise DomainError(f"argument x must lie in {rng}")
 
 
-def _p_taylor(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
-    """p(x) = sum_k binom(z-1+k, k) x^k by Horner's rule, for an array x."""
-    coeffs = order.taylor_coefficients()
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k by Horner's rule, for an array x."""
     out = np.full(x.shape, coeffs[-1], dtype=complex)
-    for k in range(order.ell - 1, -1, -1):
+    for c in coeffs[-2::-1]:
         out *= x
-        out += coeffs[k]
+        out += c
     return out
+
+
+def _p_taylor(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
+    """p(x) = sum_k binom(z-1+k, k) x^k, for an array x."""
+    return _horner(order.taylor_coefficients(), x)
 
 
 def _q(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
@@ -262,6 +267,56 @@ def _q(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
     interior = x < 1.0
     out[interior] = np.exp(order.z * np.log1p(-x[interior])) * p[interior]
     return out
+
+
+def _abs_q_squared(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
+    """|q(x)|^2 = (1-x)^{2 alpha} |p(x)|^2, elementwise on [0, 1]."""
+    p = _p_taylor(order, x)
+    out = np.zeros(x.shape)
+    interior = x < 1.0
+    out[interior] = np.exp(2.0 * order.alpha * np.log1p(-x[interior])) * np.abs(p[interior]) ** 2
+    return out
+
+
+# Largest x at which _d_scaled is used; its series is summed to full
+# precision on [0, _D_SERIES_LIMIT).
+_D_SERIES_LIMIT = 0.05
+
+
+@lru_cache(maxsize=128)
+def _d_coefficients(z: complex, ell: int) -> np.ndarray:
+    """Coefficients C_n of (1 - q(x)) / x^{ell+1} = (1-x)^z sum_n C_n x^n.
+
+    1 - q(x) is the regularized incomplete beta function I_x(ell+1, z), and
+    DLMF 8.17.8 gives I_x(a, b) = x^a (1-x)^b / (a B(a, b)) sum_n c_n x^n
+    with c_0 = 1 and c_{n+1} = c_n (a+b+n) / (a+1+n), where here
+    1 / B(ell+1, z) = (z+ell) binom(z-1+ell, ell).  For real z every term
+    is positive, so the sum cancels nothing.  It stops at the first term
+    below 1e-17 of the largest at x = _D_SERIES_LIMIT from which on the
+    term ratio stays below 1/2 (|c_{n+1}/c_n| falls with n), so everything
+    dropped is smaller still.
+    """
+    a = ell + 1
+    c = (z + ell) * complex(_taylor_coefficients(z, ell)[-1]) / a
+    coeffs = []
+    term = largest = 1.0
+    for n in itertools.count():
+        ratio = (a + z + n) / (a + 1 + n)
+        if term < 1e-17 * largest and abs(ratio) * _D_SERIES_LIMIT < 0.5:
+            break
+        coeffs.append(c)
+        c *= ratio
+        term *= abs(ratio) * _D_SERIES_LIMIT
+        largest = max(largest, term)
+    out = np.array(coeffs, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+def _d_scaled(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
+    """(1 - q(x)) / x^{ell+1} for an array x in [0, _D_SERIES_LIMIT), without
+    the cancellation of forming 1 - q(x) (see _d_coefficients)."""
+    return np.exp(order.z * np.log1p(-x)) * _horner(_d_coefficients(order.z, order.ell), x)
 
 
 def eval_p(order: PseudoSplineOrder, x, form: str = "taylor"):

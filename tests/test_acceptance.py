@@ -110,7 +110,7 @@ def test_criterion_3_cascade_convergence(order):
 @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
 def test_criterion_3_spline_oracle(z):
     profile, _ = run_cascade(PseudoSplineOrder(z, 0), levels=24, window=64.0, step=1.0 / 64)
-    gam = profile.gammas
+    gam = profile.points
     keep = np.abs(gam) <= 8.0
     g = gam[keep]
     ref = np.ones_like(g)
@@ -184,7 +184,7 @@ def test_criterion_7_lowpass_condition_and_floor():
         assert analysis.lowpass_floor(profile) > 0.0
         if ell == 0:
             base_profile = profile
-            sel = np.abs(profile.gammas) <= 0.25 + 1e-12
+            sel = np.abs(profile.points) <= 0.25 + 1e-12
         else:
             # the ell = 0 modulus bounds the others below on |gamma| <= 1/4
             assert np.all(np.abs(base_profile.values[sel]) <= np.abs(profile.values[sel]) + 1e-9)

@@ -63,7 +63,7 @@ def test_lowpass_floor_ordering_for_the_complex_family():
     higher, _ = run_cascade(PseudoSplineOrder(3.2 + 1.0j, 2))
     assert analysis.lowpass_floor(higher) > 0.0
     # |phi_hat| at ell=0 sits below the ell=2 profile on |gamma| <= 1/4
-    sel = np.abs(higher.gammas) <= 0.25 + 1e-12
+    sel = np.abs(higher.points) <= 0.25 + 1e-12
     assert np.all(np.abs(base.values[sel]) <= np.abs(higher.values[sel]) + 1e-9)
 
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pseudosplines import cascade, cli
-from pseudosplines.errors import GridCompatibilityError, ToleranceError
+from pseudosplines.errors import DomainError, GridCompatibilityError, ToleranceError
 from pseudosplines.cascade import (
     CascadeDiagnostics,
+    Profile,
     fourier_to_time,
     refinement_residual,
     run_cascade,
@@ -31,7 +32,7 @@ def sinc_sq(gamma, power):
 def test_integer_orders_converge_to_spline_transforms(z):
     profile, diag = run_cascade(PseudoSplineOrder(z, 0))
     assert diag.converged
-    gam = profile.gammas
+    gam = profile.points
     box = np.abs(gam) <= 8.0
     err = np.abs(profile.values[box] - sinc_sq(gam[box], z)).max()
     assert err < 1e-8
@@ -73,10 +74,15 @@ def test_diagnostics_serialize_deterministically():
     assert diag.to_dict() == diag.to_dict()
 
 
+def test_a_profile_lives_in_the_fourier_or_the_time_domain():
+    with pytest.raises(DomainError, match="'fourier' or 'time'"):
+        Profile(PseudoSplineOrder(1.0, 0), "space", 1.0, 0.5, np.zeros(5))
+
+
 def test_time_inversion_recovers_the_triangle():
     profile, _ = run_cascade(PseudoSplineOrder(1.0, 0), window=128.0)
     tp = to_time_domain(profile, half_width=2.0, step=1.0 / 32, tolerance=2e-3)
-    hat = np.clip(1.0 - np.abs(tp.ts), 0.0, None)
+    hat = np.clip(1.0 - np.abs(tp.points), 0.0, None)
     assert np.abs(tp.values.real - hat).max() < 1e-3
     assert np.abs(tp.values.imag).max() < 1e-9
 
@@ -99,7 +105,7 @@ def test_time_inversion_recovers_the_cubic_spline():
         outer = np.clip(2.0 - ax, 0.0, None) ** 3 / 6.0
         return np.where(ax <= 1.0, inner, outer)
 
-    assert np.abs(tp.values.real - b4(tp.ts)).max() < 1e-7
+    assert np.abs(tp.values.real - b4(tp.points)).max() < 1e-7
     assert tp.tail_estimate < 1e-6
 
 
@@ -109,8 +115,8 @@ def test_time_inversion_translates_shifted_orders():
     tb = to_time_domain(base, half_width=3.0, step=1.0 / 16, tolerance=1e-3)
     ts = to_time_domain(shifted, half_width=4.0, step=1.0 / 16, tolerance=1e-3)
     # phi_u(t) = phi(t - u): compare on the overlap of the two grids
-    for t, v in zip(tb.ts, tb.values):
-        j = np.argmin(np.abs(ts.ts - (t + 1.0)))
+    for t, v in zip(tb.points, tb.values):
+        j = np.argmin(np.abs(ts.points - (t + 1.0)))
         assert abs(ts.values[j] - v) < 1e-7
 
 
@@ -120,7 +126,7 @@ def test_shifted_cascade_is_the_unshifted_one_times_the_exact_phase():
         order = PseudoSplineOrder(2.0, 1, shift=u)
         profile, diag = run_cascade(order)
         assert profile.order == order
-        assert np.array_equal(profile.values, np.exp(-2j * np.pi * u * base.gammas) * base.values)
+        assert np.array_equal(profile.values, np.exp(-2j * np.pi * u * base.points) * base.values)
         assert diag.to_dict() == base_diag.to_dict()
         assert refinement_residual(profile) < 1e-6
 
@@ -144,8 +150,8 @@ def dense_trapezoid(gammas, values, ts):
 )
 def test_fft_inversion_matches_the_dense_trapezoid_sum(window, step, ts):
     profile, _ = run_cascade(PseudoSplineOrder(3.2 + 1.0j, 2), window=window, step=step)
-    dense = dense_trapezoid(profile.gammas, profile.values, ts)
-    fast = fourier_to_time(profile.gammas, profile.values, ts)
+    dense = dense_trapezoid(profile.points, profile.values, ts)
+    fast = fourier_to_time(profile.points, profile.values, ts)
     assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
@@ -154,9 +160,9 @@ def test_fft_inversion_rejects_incompatible_grids():
     with pytest.raises(GridCompatibilityError, match="must be an integer"):
         to_time_domain(profile, half_width=3.0, step=0.03, tolerance=1e-3)
     with pytest.raises(GridCompatibilityError, match="uniformly spaced"):
-        fourier_to_time(profile.gammas, profile.values, np.array([0.0, 0.25, 0.75]))
+        fourier_to_time(profile.points, profile.values, np.array([0.0, 0.25, 0.75]))
     with pytest.raises(GridCompatibilityError, match="uniformly spaced"):
-        fourier_to_time(profile.gammas**3, profile.values, np.array([0.0, 0.25]))
+        fourier_to_time(profile.points**3, profile.values, np.array([0.0, 0.25]))
 
 
 def test_cli_cascade_rejects_an_incompatible_time_step(tmp_path, capsys):

@@ -187,6 +187,15 @@ def test_verify_passes_for_a_shifted_order(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("command, z, ell", [("verify", "200", "0"), ("framelets", "200", "0"), ("verify", "150", "30")])
+def test_large_real_orders_build_their_banks(tmp_path, capsys, command, z, ell):
+    # eta near its zeros keeps full precision at large Re z, so the sigma
+    # bands reach the default eps
+    rc, out, _ = run([command, "--z", z, "--ell", ell], tmp_path, capsys)
+    assert rc == 0
+    assert "FAIL" not in out
+
+
 def test_analyze_reports_known_values(tmp_path, capsys):
     rc, out, _ = run(["analyze", "--z", "2", "--ell", "1"], tmp_path, capsys)
     assert rc == 0

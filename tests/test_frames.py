@@ -13,10 +13,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pseudosplines import frames
-from pseudosplines.cascade import TimeProfile, run_cascade, to_time_domain
+from pseudosplines.analysis import lowpass_condition
+from pseudosplines.cascade import Profile, run_cascade, to_time_domain
 from pseudosplines.checks import default_bank_resolution
 from pseudosplines.errors import (
     ConsistencyError,
@@ -26,7 +27,7 @@ from pseudosplines.errors import (
     WindowError,
 )
 from pseudosplines.serialize import dump_json
-from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, theta_bound
+from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, max_ell, theta_bound
 
 
 def make_bank(z, ell, shift=0.0, resolution=None, eps=1e-10):
@@ -72,6 +73,59 @@ def test_sigma_squares_to_eta():
         sig = np.asarray([frames.eval_sigma(o, g) for g in gam])
         eta = np.asarray([frames.eval_eta(o, g) for g in gam])
         assert np.abs(np.abs(sig) ** 2 - eta).max() < 1e-12
+
+
+def mp_ratio(z, ell, x, mpmath):
+    """R = eta / (4 x (1-x))^{ell+1} from the direct formula at 200 digits."""
+    z, x = mpmath.mpc(z.real, z.imag), mpmath.mpf(x)
+
+    def abs_q_squared(y):
+        p = mpmath.fsum(mpmath.binomial(z - 1 + k, k) * y**k for k in range(ell + 1))
+        return abs((1 - y) ** z * p) ** 2
+
+    with mpmath.workdps(200):
+        eta = 1 - abs_q_squared(x) - abs_q_squared(1 - x)
+        return float(eta / (4 * x * (1 - x)) ** (ell + 1))
+
+
+@pytest.mark.parametrize(
+    "z, ell",
+    [
+        (200, 0), (150, 30), (50, 10), (80, 5), (3.2 + 1j, 2), (3.2 + 1j, 3), (20, 5),
+        (1.5, 0), (1 + 50j, 0), (1, 0), (2, 1), (4.2, 3), (8 + 10j, 7), (3 + 9j, 2),
+    ],
+)
+def test_ratio_near_the_zeros_matches_an_extended_precision_oracle(z, ell):
+    # below the series cutoff R comes from 1 - q(x) = I_x(ell+1, z) and must
+    # keep full relative precision, large Re z included
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.geomspace(1e-6, 0.0499, 12)
+    got = frames._ratio_series(PseudoSplineOrder(z, ell), xs)
+    want = np.array([mp_ratio(complex(z), ell, x, mpmath) for x in xs])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    alpha=st.floats(min_value=1.0, max_value=200.0),
+    beta=st.floats(min_value=-10.0, max_value=10.0),
+    ell_fraction=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_sigma_is_a_root_of_eta_across_the_accepted_domain(alpha, beta, ell_fraction):
+    order = PseudoSplineOrder(complex(alpha, beta), int(ell_fraction * max_ell(alpha)))
+    assume(lowpass_condition(order)[0])
+    gamma = TorusGrid(8192).gamma
+    sigma = frames.eval_sigma(order, gamma)
+    eta = frames.eval_eta(order, gamma)
+    assert np.all(np.isfinite(sigma))
+    # 1e-14 of sup eta, plus the direct formula's rounding of x = sin^2(pi
+    # gamma) near gamma = +-1/2 (amplified by d|q|^2/dx ~ 2 alpha) and the
+    # ell+1 roundings of sigma's factor power
+    tol = 1e-14 * eta.max() + (2.0 * alpha + order.ell + 1) * np.finfo(float).eps
+    assert np.max(np.abs(np.abs(sigma) ** 2 - eta)) <= tol
+    zeros = frames.eval_sigma(order, np.array([0.0, 0.5, -0.5]))
+    assert zeros[0] == 0.0
+    assert np.all(np.abs(zeros) ** 2 <= tol)
 
 
 # ---------------------------------------------------------------- the bank
@@ -197,13 +251,13 @@ def exact_hat_profile(order, half_width=2.0, step=0.25):
     n = int(round(half_width / step))
     ts = (np.arange(2 * n + 1) - n) * step
     values = np.clip(1.0 - np.abs(ts), 0.0, None).astype(complex)
-    return TimeProfile(order, half_width, step, values, 0.0)
+    return Profile(order, "time", half_width, step, values)
 
 
 def test_framelet_time_piecewise_linear_wavelet():
     phi = exact_hat_profile(PseudoSplineOrder(1.0, 0))
     psi1 = frames.framelet_time(BANK_1_0, phi, 1)
-    at = {round(t, 6): v for t, v in zip(psi1.ts, psi1.values)}
+    at = {round(t, 6): v for t, v in zip(psi1.points, psi1.values)}
     # 2 sum_k c_{k,1} hat(2t + k) with taps (-1/4, 1/2, -1/4) at k = 0, 1, 2
     assert at[-1.0].real == pytest.approx(-0.5, abs=1e-12)
     assert at[-0.5].real == pytest.approx(1.0, abs=1e-12)
@@ -219,7 +273,7 @@ def test_framelet_time_agrees_with_the_frequency_construction():
     psi1 = frames.framelet_time(BANK_1_0, phi, 1)
     profile, _ = run_cascade(PseudoSplineOrder(1.0, 0))
     for g in (0.25, 0.5, 1.0, 1.7, 3.0):
-        direct = np.sum(psi1.values * np.exp(-2j * np.pi * g * psi1.ts)) * psi1.step
+        direct = np.sum(psi1.values * np.exp(-2j * np.pi * g * psi1.points)) * psi1.step
         assert abs(direct - frames.framelet_hat(BANK_1_0, profile, 1, g)) < 2e-3
 
 
@@ -831,6 +885,20 @@ def test_multilevel_calls_reject_bad_input_before_the_engine_runs(monkeypatch, c
     monkeypatch.setattr(frames, "_levels", engine)
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("levels", [0, -1, 2.0, "2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda levels: run_cascade(PseudoSplineOrder(1.5, 0), levels=levels, window=8.0, step=1.0 / 16),
+        lambda levels: frames.analyze_multilevel(BANK_15_0, SIGNAL_64, levels),
+    ],
+    ids=["run_cascade", "analyze_multilevel"],
+)
+def test_level_counts_follow_one_rule(call, levels):
+    with pytest.raises(DomainError, match="levels must be an integer >= 1"):
+        call(levels)
 
 
 # ---------------------------------------------------------------- serialization
