@@ -116,7 +116,7 @@ def _write_series(ns, stem: str, axis_name: str, axis, values, to_json=None) -> 
     `to_json` builds the JSON object on demand, so CSV writes never build it.
     """
     outdir = _outdir(ns)
-    if ns.format == "json" and to_json is not None:
+    if to_json is not None and ns.format == "json":
         path = os.path.join(outdir, stem + ".json")
         write_json(path, to_json())
     else:
@@ -162,11 +162,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
     grid = TorusGrid(int(ns.grid))
     bands = _parse_bands(ns.bands)
-    if bands == [0]:
-        symbols = {0: sample_H0(order, grid)}
-    else:
-        bank = frames.build_bank(order, grid, truncation_eps=float(ns.eps), max_k=ns.max_k)
-        symbols = {b: bank.symbol(b) for b in bands}
+    symbols = {0: sample_H0(order, grid)} if bands == [0] else frames.sample_bank(order, grid)
     for band in bands:
         sym = symbols[band]
         extra = {"band": band} if band != 0 else {}
@@ -371,6 +367,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         theta = theta_bound(order)
         frames_grid = int(ns.frames_grid) if ns.frames_grid is not None else default_bank_resolution(order)
         bank = frames.build_bank(order, TorusGrid(frames_grid), truncation_eps=float(ns.eps))
+        uep_diag, uep_off = frames.uep_errors(bank)
         report = full_report(
             order,
             with_fits=bool(ns.with_fits),
@@ -385,8 +382,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 "theta": theta,
                 "partition_min": ext.min,
                 "partition_max": ext.max,
-                "uep_diagonal_error": bank.uep_diagonal_error,
-                "uep_offdiagonal_error": bank.uep_offdiagonal_error,
+                "uep_diagonal_error": uep_diag,
+                "uep_offdiagonal_error": uep_off,
                 "max_support_radius": bank.max_support_radius(),
                 "report": report.to_dict(),
             }
@@ -394,7 +391,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         sys.stdout.write(
             f"{order.label()}: theta={format_float(theta)} "
             f"partition_min={format_float(ext.min)} "
-            f"uep={format_float(max(bank.uep_diagonal_error, bank.uep_offdiagonal_error))}\n"
+            f"uep={format_float(max(uep_diag, uep_off))}\n"
         )
     path = os.path.join(_outdir(ns), "sweep_report.json")
     write_json(path, {"orders": entries})
@@ -405,7 +402,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="JSON file of defaults for this command")
     sub.add_argument("--out", default=None, help="output directory (default: $PSEUDOSPLINES_OUTDIR or .)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="series output format")
 
 
 def _add_order(sub: argparse.ArgumentParser) -> None:
@@ -418,7 +414,6 @@ def _add_cascade_opts(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--levels", type=int, default=24)
     sub.add_argument("--window", type=float, default=64.0)
     sub.add_argument("--step", default="1/64", help="frequency grid step, e.g. 1/64")
-    sub.add_argument("--sup-tolerance", type=float, default=1e-10)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -431,17 +426,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sub = subparsers.add_parser("filter", help="sample the refinement symbols on a grid")
     _add_common(sub)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="series output format")
     _add_order(sub)
     sub.add_argument("--grid", type=int, default=1024, help="grid resolution (power of two)")
     sub.add_argument("--bands", default="0", help="comma list of bands to write, subset of 0,1,2,3")
-    sub.add_argument("--eps", type=float, default=1e-10)
-    sub.add_argument("--max-k", type=int, default=None)
     subs["filter"] = sub
 
     sub = subparsers.add_parser("cascade", help="run the Fourier-domain cascade")
     _add_common(sub)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="series output format")
     _add_order(sub)
     _add_cascade_opts(sub)
+    sub.add_argument("--sup-tolerance", type=float, default=1e-10)
     sub.add_argument("--time-half-width", type=float, default=None, help="also write phi on [-w, w]")
     sub.add_argument("--dt", default="1/32", help="time grid step")
     sub.add_argument("--time-tolerance", type=float, default=1e-3)
@@ -449,8 +445,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sub = subparsers.add_parser("framelets", help="build the framelet filter bank")
     _add_common(sub)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="series output format")
     _add_order(sub)
     _add_cascade_opts(sub)
+    sub.add_argument("--sup-tolerance", type=float, default=1e-10)
     sub.add_argument("--grid", type=int, default=8192)
     sub.add_argument("--eps", type=float, default=1e-10)
     sub.add_argument("--max-k", type=int, default=None)

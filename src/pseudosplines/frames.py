@@ -77,6 +77,7 @@ __all__ = [
     "PeriodicSignal",
     "eval_eta",
     "eval_sigma",
+    "sample_bank",
     "build_bank",
     "uep_errors",
     "framelet_hat",
@@ -92,9 +93,21 @@ __all__ = [
 _ETA_ERROR_FLOOR = -1e-9
 
 
+def _require_partition(order: PseudoSplineOrder, eta: np.ndarray) -> None:
+    """Raise ConsistencyError where eta < -1e-9: the UEP partition bound
+    |H0(gamma)|^2 + |H0(gamma+1/2)|^2 <= 1 fails, and no Parseval bank exists."""
+    if np.any(eta < _ETA_ERROR_FLOOR):
+        raise ConsistencyError(
+            f"partition |H0(gamma)|^2 + |H0(gamma+1/2)|^2 exceeds 1 for {order.label()} "
+            f"(min eta = {float(np.min(eta)):.3e} < {_ETA_ERROR_FLOOR:g}); no UEP framelet bank exists"
+        )
+
+
 def _eta(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
-    """eta = 1 - |q(x)|^2 - |q(1-x)|^2 by the direct formula, unclamped."""
-    return 1.0 - _abs_q_squared(order, x) - _abs_q_squared(order, 1.0 - x)
+    """eta = 1 - |q(x)|^2 - |q(1-x)|^2, unclamped; a partition above 1 raises ConsistencyError."""
+    eta = 1.0 - _abs_q_squared(order, x) - _abs_q_squared(order, 1.0 - x)
+    _require_partition(order, eta)
+    return eta
 
 
 def eval_eta(order: PseudoSplineOrder, gamma):
@@ -107,13 +120,7 @@ def eval_eta(order: PseudoSplineOrder, gamma):
     """
     arr, scalar = _as_array(gamma)
     x = np.sin(np.pi * arr) ** 2
-    eta = _eta(order, x)
-    if np.any(eta < _ETA_ERROR_FLOOR):
-        raise ConsistencyError(
-            f"partition function exceeds 1 by more than {-_ETA_ERROR_FLOOR:g} "
-            f"(min eta = {float(np.min(eta)):.3e}); the lowpass symbol is broken"
-        )
-    eta = np.maximum(eta, 0.0)
+    eta = np.maximum(_eta(order, x), 0.0)
     return float(eta[()]) if scalar else eta
 
 
@@ -139,7 +146,8 @@ def eval_sigma(order: PseudoSplineOrder, gamma):
 
     Complex-valued with |sigma(gamma)|^2 = eta(gamma) and
     sigma(-gamma) = conj(sigma(gamma)); vanishes to order ell+1 at
-    gamma in {0, +-1/2}.  Shift-independent like eta.
+    gamma in {0, +-1/2}.  Shift-independent like eta.  Raises
+    ConsistencyError where eta < -1e-9, as eval_eta does.
     """
     arr, scalar = _as_array(gamma)
     x = np.sin(np.pi * arr) ** 2
@@ -147,7 +155,9 @@ def eval_sigma(order: PseudoSplineOrder, gamma):
     ratio = np.empty(xt.shape)
     near = xt < _D_SERIES_LIMIT
     if np.any(near):
-        ratio[near] = _ratio_series(order, xt[near])
+        xn = xt[near]
+        ratio[near] = _ratio_series(order, xn)
+        _require_partition(order, ratio[near] * (4.0 * xn * (1.0 - xn)) ** (order.ell + 1))
     far = ~near
     if np.any(far):
         xf = x[far]
@@ -162,7 +172,6 @@ def eval_sigma(order: PseudoSplineOrder, gamma):
 class FilterCoefficients:
     """Truncated two-sided Fourier coefficient sequence of one bank filter."""
 
-    band: int
     offset: int
     values: np.ndarray
     tail_norm: float
@@ -227,7 +236,6 @@ def _coeffs_from_samples(
     keep = np.abs(ks) <= radius
     aliasing = float(math.sqrt(np.sum(mass[np.abs(ks) > n // 4])))
     return FilterCoefficients(
-        band=band,
         offset=-radius,
         values=c[keep],
         tail_norm=float(math.sqrt(tails[radius])),
@@ -248,8 +256,6 @@ class FrameletBank:
     H: tuple | None
     coeffs: dict
     truncation_eps: float
-    uep_diagonal_error: float | None = None
-    uep_offdiagonal_error: float | None = None
 
     def symbol(self, n: int) -> SampledSymbol:
         if self.H is None:
@@ -279,19 +285,37 @@ def uep_errors(bank: FrameletBank) -> tuple[float, float]:
     return float(np.max(np.abs(diag - 1.0))), float(np.max(np.abs(off)))
 
 
+def sample_bank(order: PseudoSplineOrder, grid: TorusGrid) -> tuple[SampledSymbol, ...]:
+    """H0..H3 sampled on the grid.
+
+    Orders off the arctan lowpass condition raise ConditionError first
+    (analysis.require_frame), and a partition above 1 raises
+    ConsistencyError where sigma computes eta.  The half-period shift inside
+    H1 is realized as an exact index roll, so the two filter-bank identities
+    hold at the sample level to rounding accuracy for any other order,
+    shifted ones included.
+    """
+    require_frame(order)
+    h0 = sample_H0(order, grid)
+    sigma = eval_sigma(order, grid.gamma)
+    phase = np.exp(2j * np.pi * grid.gamma)
+    rt2 = math.sqrt(2.0)
+    h1 = phase * np.conj(np.roll(h0.values, -(grid.resolution // 2)))
+    return (
+        h0,
+        SampledSymbol(order, grid, h1),
+        SampledSymbol(order, grid, sigma / rt2),
+        SampledSymbol(order, grid, phase * sigma / rt2),
+    )
+
+
 def build_bank(
     order: PseudoSplineOrder,
     grid: TorusGrid,
     truncation_eps: float = 1e-10,
     max_k: int | None = None,
 ) -> FrameletBank:
-    """Sample H0..H3 on the grid and extract truncated filter coefficients.
-
-    Orders off the arctan lowpass condition raise ConditionError first
-    (analysis.require_frame).  The half-period shift inside H1 is realized as an exact index roll, so
-    the two filter-bank identities hold at the sample level to rounding
-    accuracy for any order, shifted ones included.
-    """
+    """sample_bank's H0..H3 with filter coefficients truncated at eps."""
     n = grid.resolution
     if n < 64:
         raise ResolutionError(f"bank construction needs grid resolution >= 64, got {n}")
@@ -300,39 +324,18 @@ def build_bank(
     max_k = int(max_k)
     if max_k < 1 or n < 2 * max_k:
         raise ResolutionError(f"max_k must satisfy 1 <= max_k <= resolution/2, got {max_k}")
-    require_frame(order)
-    h0 = sample_H0(order, grid)
-    sigma = eval_sigma(order, grid.gamma)
-    phase = np.exp(2j * np.pi * grid.gamma)
-    rt2 = math.sqrt(2.0)
-    h1 = phase * np.conj(np.roll(h0.values, -(n // 2)))
-    h2 = sigma / rt2
-    h3 = phase * sigma / rt2
-    symbols = (
-        h0,
-        SampledSymbol(order, grid, h1),
-        SampledSymbol(order, grid, h2),
-        SampledSymbol(order, grid, h3),
-    )
+    symbols = sample_bank(order, grid)
     coeffs = {
         band: _coeffs_from_samples(band, symbols[band].values, n, max_k, truncation_eps)
         for band in range(4)
     }
-    bank = FrameletBank(
+    return FrameletBank(
         order=order,
         grid=grid,
         H=symbols,
         coeffs=coeffs,
         truncation_eps=float(truncation_eps),
     )
-    diag_err, off_err = uep_errors(bank)
-    object.__setattr__(bank, "uep_diagonal_error", diag_err)
-    object.__setattr__(bank, "uep_offdiagonal_error", off_err)
-    if diag_err > 1e-8 or off_err > 1e-8:
-        raise ConsistencyError(
-            f"filter-bank identities violated (diag {diag_err:.3e}, offdiag {off_err:.3e})"
-        )
-    return bank
 
 
 def _interp_periodic(values: np.ndarray, resolution: int, gamma: np.ndarray) -> np.ndarray:
@@ -778,7 +781,6 @@ def bank_from_dict(d: dict) -> FrameletBank:
     for key, entry in d["coeffs"].items():
         values = np.array([complex(re, im) for re, im in entry["values"]], dtype=complex)
         coeffs[int(key)] = FilterCoefficients(
-            band=int(key),
             offset=int(entry["offset"]),
             values=values,
             tail_norm=float(entry["tail_norm"]),

@@ -203,10 +203,6 @@ class TorusGrid:
             self.__dict__["_gamma"] = cached
         return cached
 
-    def half_shift_index(self, j: np.ndarray | int):
-        """Index of gamma_j + 1/2 wrapped onto the grid."""
-        return (j + self.resolution // 2) % self.resolution
-
 
 @dataclass(frozen=True)
 class SampledSymbol:

@@ -1,14 +1,23 @@
 """Command-line contract: files, determinism, exit codes, config handling."""
 
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pseudosplines import cli, frames
 from pseudosplines.cascade import run_cascade, to_time_domain
-from pseudosplines.serialize import dump_json, order_to_dict, symbol_to_dict, write_samples_csv
+from pseudosplines.errors import ConsistencyError
+from pseudosplines.serialize import (
+    dump_json,
+    order_to_dict,
+    read_samples_csv,
+    symbol_to_dict,
+    write_samples_csv,
+)
 from pseudosplines.symbol import PseudoSplineOrder, TorusGrid
 
 
@@ -62,16 +71,48 @@ def test_filter_emits_requested_bands(tmp_path, capsys):
         assert (tmp_path / f"filter_h{n}.csv").exists()
 
 
-def test_filter_band_extraction_guards_its_tolerance(tmp_path, capsys):
-    # fractional tails cannot reach eps 1e-10 with max_k = 64; the command
-    # must refuse rather than silently truncate
+def test_filter_writes_bank_samples_without_truncating(tmp_path, capsys):
+    # fractional tails cannot reach eps 1e-10 at |k| <= 64 on this grid, but
+    # filter writes symbol samples and extracts no taps
     rc, _, err = run(
         ["filter", "--z", "1.5", "--ell", "1", "--grid", "256", "--bands", "0,1"],
         tmp_path,
         capsys,
     )
-    assert rc == 4
-    assert "truncation" in err
+    assert rc == 0, err
+    order = PseudoSplineOrder(1.5, 1)
+    h1 = frames.sample_bank(order, TorusGrid(256))[1].values
+    assert np.array_equal(read_samples_csv(tmp_path / "filter_h1.csv")[1], h1)
+
+
+# orders past the partition bound: real and complex extended orders that
+# meet the arctan condition, yet |H0(gamma)|^2 + |H0(gamma+1/2)|^2 exceeds 1
+NO_FRAME = ["1,1", "1.5,2", "2.5,3", "1+0.2i,1", "1+0.5i,1", "1.5+0.3i,2"]
+FRAME = ["2,2", "3,3", "5.5,6", "3.2+1i,3", "4.2,3"]
+
+
+@pytest.mark.parametrize("token", NO_FRAME)
+def test_orders_past_the_partition_bound_have_no_bank(tmp_path, capsys, token):
+    (order,) = cli._parse_orders(token)
+    for build in (frames.sample_bank, frames.build_bank):
+        with pytest.raises(ConsistencyError, match=r"partition .* exceeds 1 for " + re.escape(order.label())):
+            build(order, TorusGrid(8192))
+    z, ell = token.split(",")
+    for command in (["filter", "--bands", "0,1"], ["framelets"]):
+        rc, _, err = run([*command, "--z", z, "--ell", ell], tmp_path, capsys)
+        assert rc == 3
+        assert "exceeds 1 for " + order.label() in err
+
+
+@pytest.mark.parametrize("token", FRAME)
+def test_orders_within_the_partition_bound_build_their_banks(tmp_path, capsys, token):
+    (order,) = cli._parse_orders(token)
+    symbols = frames.sample_bank(order, TorusGrid(8192))
+    bank = frames.build_bank(order, TorusGrid(8192))
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(symbols, bank.H))
+    z, ell = token.split(",")
+    rc, _, err = run(["filter", "--bands", "0,1", "--z", z, "--ell", ell], tmp_path, capsys)
+    assert rc == 0, err
 
 
 def test_filter_accepts_complex_orders_in_ascii(tmp_path, capsys):
@@ -171,14 +212,14 @@ def test_verify_writes_its_report_when_a_suite_raises(tmp_path, capsys):
     # ConsistencyError; the symbol and cascade results must still be reported
     rc, out, err = run(["verify", "--z", "1", "--ell", "1", "--signals", "2"], tmp_path, capsys)
     assert rc == 3
-    assert "filter-bank identities violated" in err
-    assert "FAIL frames.error: filter-bank identities violated" in out
+    assert "partition |H0(gamma)|^2 + |H0(gamma+1/2)|^2 exceeds 1 for z=1.0 ell=1" in err
+    assert "FAIL frames.error: partition |H0(gamma)|^2" in out
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert len(report["suites"]["symbol"]) >= 6
     assert len(report["suites"]["cascade"]) == 6
     (entry,) = report["suites"]["frames"]
     assert entry["name"] == "error" and entry["passed"] is False
-    assert "filter-bank identities violated" in entry["error"]
+    assert "exceeds 1 for z=1.0 ell=1" in entry["error"]
 
 
 def test_verify_passes_for_a_shifted_order(tmp_path, capsys):
@@ -384,6 +425,41 @@ def test_framelet_outputs_are_byte_identical(tmp_path, capsys):
         assert rc == 0
     capsys.readouterr()
     assert (a / "bank.json").read_bytes() == (b / "bank.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--format", "json"],
+        ["analyze", "--format", "json"],
+        ["sweep", "--format", "json"],
+        ["transform", "--format", "json"],
+        ["verify", "--sup-tolerance", "1e-3"],
+        ["analyze", "--sup-tolerance", "1e-3"],
+        ["sweep", "--sup-tolerance", "1e-3"],
+        ["filter", "--eps", "1e-8"],
+        ["filter", "--max-k", "64"],
+    ],
+)
+def test_options_that_changed_nothing_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv, tmp_path, capsys)
+    assert exc.value.code == 2
+
+
+SUBPARSERS = cli.build_parser()[1]
+
+
+@pytest.mark.parametrize("name", sorted(SUBPARSERS))
+def test_every_option_is_read_by_its_command(name):
+    source = inspect.getsource(getattr(cli, f"cmd_{name}"))
+    # _write_series calls _outdir, so it is looked up first
+    for helper in (cli._write_series, cli._order_from_args, cli._outdir):
+        if f"{helper.__name__}(" in source:
+            source += inspect.getsource(helper)
+    dests = {action.dest for action in SUBPARSERS[name]._actions}
+    unread = sorted(d for d in dests - {"help", "command", "config"} if f"ns.{d}" not in source)
+    assert unread == []
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):

@@ -27,7 +27,7 @@ from pseudosplines.errors import (
     WindowError,
 )
 from pseudosplines.serialize import dump_json
-from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, max_ell, theta_bound
+from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, max_ell, sample_H0, theta_bound
 
 
 def make_bank(z, ell, shift=0.0, resolution=None, eps=1e-10):
@@ -143,8 +143,38 @@ def test_bank_identities_across_orders():
         diag, off = frames.uep_errors(bank)
         assert diag < 1e-10
         assert off < 1e-10
-        assert bank.uep_diagonal_error == diag
-        assert bank.uep_offdiagonal_error == off
+
+
+# rounding of max P - 1 from the H0 samples against -min eta from sigma's
+# two branches: at most 1.1e-15 over 1848 random orders of this domain on
+# TorusGrid(1024)
+PARTITION_BAND = 1e-12
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    alpha=st.floats(min_value=1.0, max_value=8.0),
+    beta=st.floats(min_value=-10.0, max_value=10.0),
+    ell_fraction=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(alpha=1.0, beta=0.0, ell_fraction=1.0)  # (1, 1)
+@example(alpha=2.5, beta=0.0, ell_fraction=1.0)  # (2.5, 3)
+@example(alpha=1.0, beta=0.5, ell_fraction=1.0)  # (1+0.5i, 1)
+def test_sample_bank_raises_exactly_past_the_partition_bound(alpha, beta, ell_fraction):
+    top = max_ell(alpha) + 1
+    order = PseudoSplineOrder(complex(alpha, beta), min(int(ell_fraction * (top + 1)), top))
+    assume(lowpass_condition(order)[0])
+    grid = TorusGrid(1024)
+    h0 = sample_H0(order, grid).values
+    excess = np.max(np.abs(h0) ** 2 + np.abs(np.roll(h0, grid.resolution // 2)) ** 2) - 1.0
+    try:
+        symbols = frames.sample_bank(order, grid)
+    except ConsistencyError:
+        assert excess > 1e-9 - PARTITION_BAND
+        return
+    assert excess <= 1e-9 + PARTITION_BAND
+    bank = frames.FrameletBank(order, grid, H=symbols, coeffs={}, truncation_eps=0.0)
+    assert max(frames.uep_errors(bank)) < 1e-10
 
 
 def test_bank_requires_a_reasonable_grid():
@@ -587,7 +617,7 @@ def coefficient_bank(lo, width, seed):
         size = width if n == 0 else int(rng.integers(1, width - start + 1))
         values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         coeffs[n] = frames.FilterCoefficients(
-            band=n, offset=lo + start, values=values, tail_norm=0.0, aliasing_estimate=0.0
+            offset=lo + start, values=values, tail_norm=0.0, aliasing_estimate=0.0
         )
     return frames.FrameletBank(
         order=PseudoSplineOrder(1.5, 0), grid=TorusGrid(64), H=None, coeffs=coeffs, truncation_eps=1e-10

@@ -152,14 +152,6 @@ def test_grid_rejects_bad_resolution():
         TorusGrid(0)
 
 
-def test_grid_half_shift_indexing():
-    grid = TorusGrid(64)
-    j = np.arange(64)
-    shifted = grid.gamma[grid.half_shift_index(j)]
-    expected = np.where(grid.gamma < 0.0, grid.gamma + 0.5, grid.gamma - 0.5)
-    assert np.array_equal(shifted, expected)
-
-
 # ---------------------------------------------------------------- closed forms
 
 
