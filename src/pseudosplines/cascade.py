@@ -60,24 +60,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Profile:
-    """Samples on the axis j*step, |j*step| <= half_width, in one of two domains.
+    """Samples on the axis j*step, |j*step| <= half_width.
 
-    domain 'fourier': a cascade iterate phi_hat_m on gamma_j, m = level_m;
-    domain 'time': a time-domain function on t_j, with tail_estimate
-    bounding the error of the dropped spectrum.
+    Either a cascade iterate phi_hat on gamma_j, or a time-domain function
+    on t_j, with tail_estimate bounding the error of the dropped spectrum.
     """
 
     order: PseudoSplineOrder
-    domain: str
     half_width: float
     step: float
     values: np.ndarray
-    level_m: int = 0
     tail_estimate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.domain not in ("fourier", "time"):
-            raise DomainError(f"profile domain must be 'fourier' or 'time', got {self.domain!r}")
         v = np.asarray(self.values, dtype=complex).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -89,20 +84,6 @@ class Profile:
 
     def value_at_zero(self) -> complex:
         return complex(self.values[(len(self.values) - 1) // 2])
-
-    def to_dict(self) -> dict:
-        from .serialize import order_to_dict
-
-        if self.domain == "fourier":
-            head = {"level_m": self.level_m, "window": self.half_width}
-        else:
-            head = {"half_width": self.half_width, "tail_estimate": self.tail_estimate}
-        return {
-            "order": order_to_dict(self.order),
-            **head,
-            "step": self.step,
-            "values": [[v.real, v.imag] for v in self.values],
-        }
 
 
 @dataclass
@@ -207,7 +188,6 @@ def run_cascade(
 
     prod = np.ones(len(half), dtype=complex)
     current = prev
-    level_done = 0
     for m in range(1, levels + 1):
         if m == 1:
             h = eval_H0(base, half * 0.5)
@@ -223,13 +203,12 @@ def run_cascade(
         diag.sup_changes.append(float(np.max(np.abs(current - prev))))
         diag.l2_norms.append(_support_l2(half, current, bound, step))
         diag.max_modulus = max(diag.max_modulus, float(np.max(np.abs(current))))
-        level_done = m
+        diag.levels = m
         prev = current
         if diag.sup_changes[-1] < sup_tolerance:
             diag.converged = True
             diag.converged_level = m
             break
-    diag.levels = level_done
 
     if not diag.converged and len(diag.sup_changes) >= 4:
         tail = diag.sup_changes[-4:]
@@ -243,8 +222,7 @@ def run_cascade(
     current = np.concatenate((current[:0:-1], current))
     if order.shift != 0.0:
         current = current * np.exp(-2j * np.pi * order.shift * g)
-    profile = Profile(order, "fourier", extent, step, current, level_m=level_done)
-    return profile, diag
+    return Profile(order, extent, step, current), diag
 
 
 def refinement_residual(profile: Profile) -> float:
@@ -361,4 +339,4 @@ def to_time_domain(
     n = int(math.ceil(half_width / step - 1e-9))
     ts = (np.arange(2 * n + 1) - n) * step
     values = fourier_to_time(profile.points, profile.values, ts)
-    return Profile(profile.order, "time", float(n * step), step, values, tail_estimate=tail)
+    return Profile(profile.order, float(n * step), step, values, tail_estimate=tail)

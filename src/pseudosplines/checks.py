@@ -2,8 +2,7 @@
 
 Each check compares an observed deviation against a limit and records both,
 so callers (tests, the `verify` CLI command) can print margins rather than
-bare booleans.  Limits scale with `tolerance_scale`, which exists so a
-deliberately impossible scale can exercise the failure path honestly.
+bare booleans.
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ def default_bank_resolution(order: PseudoSplineOrder) -> int:
     """8192, doubled to 16384 for fractional shifts (slower coefficient decay).
 
     A fractional u makes the sampled symbols vanish only to finite order at
-    the periodization seam, so the coefficient tail needs a larger max_k to
-    reach the default truncation eps.
+    the periodization seam, so the coefficient tail needs a larger tap
+    radius, N // 4, to reach the default truncation eps.
     """
     if order.shift != int(order.shift):
         return 16384
@@ -83,41 +82,39 @@ def default_bank_resolution(order: PseudoSplineOrder) -> int:
 def run_symbol_checks(
     order: PseudoSplineOrder,
     resolution: int = 4096,
-    tolerance_scale: float = 1.0,
     extrema: PartitionExtrema | None = None,
 ) -> list[CheckResult]:
     """The symbol suite; `extrema` is partition_extrema(order,
     TorusGrid(resolution)) if the caller has it already, else it is computed."""
-    s = tolerance_scale
     grid = TorusGrid(resolution)
     results: list[CheckResult] = []
 
     ext = partition_extrema(order, grid) if extrema is None else extrema
     theta = theta_bound(order)
-    results.append(CheckResult("partition_min_matches_theta", abs(ext.min - theta), 1e-10 * s))
-    results.append(CheckResult("partition_max_is_one", abs(ext.max - 1.0), 1e-12 * s))
-    results.append(CheckResult("symbol_at_zero", abs(eval_H0(order, 0.0) - 1.0), 1e-13 * s))
+    results.append(CheckResult("partition_min_matches_theta", abs(ext.min - theta), 1e-10))
+    results.append(CheckResult("partition_max_is_one", abs(ext.max - 1.0), 1e-12))
+    results.append(CheckResult("symbol_at_zero", abs(eval_H0(order, 0.0) - 1.0), 1e-13))
 
     xs = np.linspace(0.0, 1.0, 21)
     pd = np.asarray(eval_p(order, xs, form="definition"))
     pt = np.asarray(eval_p(order, xs, form="taylor"))
     scale = np.maximum(np.abs(pt), 1.0)
-    results.append(CheckResult("p_form_equivalence", float(np.max(np.abs(pd - pt) / scale)), 1e-12 * s))
+    results.append(CheckResult("p_form_equivalence", float(np.max(np.abs(pd - pt) / scale)), 1e-12))
 
     h = 1e-6
     xs_fd = np.linspace(0.1, 0.9, 9)
     exact = np.asarray(eval_q_prime(order, xs_fd))
     fd = (np.asarray(eval_q(order, xs_fd + h)) - np.asarray(eval_q(order, xs_fd - h))) / (2 * h)
     rel = np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-12)
-    results.append(CheckResult("q_prime_finite_difference", float(np.max(rel)), 1e-6 * s))
+    results.append(CheckResult("q_prime_finite_difference", float(np.max(rel)), 1e-6))
 
     if order.shift != 0.0:
         g = grid.gamma
         shifted = np.asarray(eval_H0(order, g))
         base = np.asarray(eval_H0(order.unshifted, g)) * np.exp(-2j * np.pi * order.shift * g)
-        results.append(CheckResult("shift_phase_identity", float(np.max(np.abs(shifted - base))), 1e-13 * s))
+        results.append(CheckResult("shift_phase_identity", float(np.max(np.abs(shifted - base))), 1e-13))
 
-    results.append(CheckResult("lipschitz_constant_bounded", lipschitz_check(order, grid), 1e6 * s))
+    results.append(CheckResult("lipschitz_constant_bounded", lipschitz_check(order, grid), 1e6))
     return results
 
 
@@ -126,23 +123,20 @@ def run_cascade_checks(
     levels: int = 24,
     window: float = 64.0,
     step: float = 1.0 / 64.0,
-    tolerance_scale: float = 1.0,
 ) -> list[CheckResult]:
-    s = tolerance_scale
     profile, diag = run_cascade(order, levels=levels, window=window, step=step)
-    results = [
+    return [
         CheckResult(
             "l2_nonincreasing",
             max([b - a for a, b in zip(diag.l2_norms[:-1], diag.l2_norms[1:])], default=0.0),
-            1e-10 * s,
+            1e-10,
         ),
-        CheckResult("l2_bounded_by_one", max(diag.l2_norms) - 1.0, 1e-10 * s),
-        CheckResult("modulus_bounded_by_one", diag.max_modulus - 1.0, 1e-12 * s),
-        CheckResult("value_at_zero_is_one", abs(profile.value_at_zero() - 1.0), 1e-13 * s),
-        CheckResult("refinement_residual", refinement_residual(profile), 1e-6 * s),
-        CheckResult("final_sup_change", diag.sup_changes[-1], 1e-8 * s),
+        CheckResult("l2_bounded_by_one", max(diag.l2_norms) - 1.0, 1e-10),
+        CheckResult("modulus_bounded_by_one", diag.max_modulus - 1.0, 1e-12),
+        CheckResult("value_at_zero_is_one", abs(profile.value_at_zero() - 1.0), 1e-13),
+        CheckResult("refinement_residual", refinement_residual(profile), 1e-6),
+        CheckResult("final_sup_change", diag.sup_changes[-1], 1e-8),
     ]
-    return results
 
 
 def run_frames_checks(
@@ -152,27 +146,25 @@ def run_frames_checks(
     signals: int = 50,
     signal_length: int = 1024,
     seed: int = 7,
-    tolerance_scale: float = 1.0,
 ) -> list[CheckResult]:
-    s = tolerance_scale
     if resolution is None:
         resolution = default_bank_resolution(order)
     bank = frames.build_bank(order, TorusGrid(resolution), truncation_eps=truncation_eps)
     diag, off = frames.uep_errors(bank)
     results = [
-        CheckResult("uep_diagonal", diag, 1e-10 * s),
-        CheckResult("uep_offdiagonal", off, 1e-10 * s),
+        CheckResult("uep_diagonal", diag, 1e-10),
+        CheckResult("uep_offdiagonal", off, 1e-10),
     ]
 
     sigma = math.sqrt(2.0) * bank.symbol(2).values
     eta = np.asarray(frames.eval_eta(order, bank.grid.gamma))
     results.append(
-        CheckResult("sigma_squared_equals_eta", float(np.max(np.abs(np.abs(sigma) ** 2 - eta))), 1e-12 * s)
+        CheckResult("sigma_squared_equals_eta", float(np.max(np.abs(np.abs(sigma) ** 2 - eta))), 1e-12)
     )
 
     zero_index = resolution // 2
     moment = max(abs(complex(bank.symbol(n).values[zero_index])) for n in (1, 2, 3))
-    results.append(CheckResult("vanishing_moments", moment, 1e-12 * s))
+    results.append(CheckResult("vanishing_moments", moment, 1e-12))
 
     limit = max(1e-8, 10.0 * truncation_eps)
     frames._require_length(signal_length)
@@ -186,11 +178,11 @@ def run_frames_checks(
     worst_energy = float(np.max(np.abs(energies - inputs) / inputs, initial=0.0))
     errors = np.linalg.norm(back - data, axis=-1) / np.linalg.norm(data, axis=-1)
     worst_roundtrip = float(np.max(errors, initial=0.0))
-    results.append(CheckResult("discrete_parseval", worst_energy, limit * s))
-    results.append(CheckResult("perfect_reconstruction", worst_roundtrip, limit * s))
+    results.append(CheckResult("discrete_parseval", worst_energy, limit))
+    results.append(CheckResult("perfect_reconstruction", worst_roundtrip, limit))
 
     ok, total = lowpass_condition(order)
-    results.append(CheckResult("lowpass_arctan_in_range", 0.0 if ok else abs(total), 0.5 * math.pi * s))
+    results.append(CheckResult("lowpass_arctan_in_range", 0.0 if ok else abs(total), 0.5 * math.pi))
     return results
 
 
@@ -213,7 +205,6 @@ def run_all(
     signals: int = 50,
     signal_length: int = 1024,
     seed: int = 7,
-    tolerance_scale: float = 1.0,
     extrema: PartitionExtrema | None = None,
 ) -> dict[str, list[CheckResult]]:
     """Every suite, each run on its own: one that raises does not stop the others.
@@ -222,10 +213,9 @@ def run_all(
     TorusGrid(symbol_resolution)) if the caller has it already.
     """
     return {
-        "symbol": _suite(run_symbol_checks, order, symbol_resolution, tolerance_scale, extrema),
-        "cascade": _suite(run_cascade_checks, order, levels, window, step, tolerance_scale),
+        "symbol": _suite(run_symbol_checks, order, symbol_resolution, extrema),
+        "cascade": _suite(run_cascade_checks, order, levels, window, step),
         "frames": _suite(
-            run_frames_checks,
-            order, frames_resolution, truncation_eps, signals, signal_length, seed, tolerance_scale,
+            run_frames_checks, order, frames_resolution, truncation_eps, signals, signal_length, seed
         ),
     }

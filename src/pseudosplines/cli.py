@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -37,7 +36,6 @@ from .serialize import (
     load_json,
     order_to_dict,
     read_samples_csv,
-    symbol_to_dict,
     write_json,
     write_samples_csv,
 )
@@ -54,7 +52,9 @@ DEFAULT_SWEEP = (
 
 
 def _to_complex(value) -> complex:
-    """Accept 'a+bi' strings (also plain reals) and numeric config values."""
+    """Accept 'a+bi' strings (also plain reals) and numeric config values, not booleans."""
+    if isinstance(value, bool):
+        raise DomainError(f"cannot parse complex order {value!r}; expected e.g. 3.2+1i")
     if isinstance(value, complex):
         return value
     if isinstance(value, (int, float)):
@@ -110,20 +110,11 @@ def _emit(path: str) -> None:
     sys.stdout.write(f"wrote {path}\n")
 
 
-def _write_series(ns, stem: str, axis_name: str, axis, values, to_json=None) -> str:
-    """Write one series as CSV, or as JSON when --format json and `to_json` is given.
-
-    `to_json` builds the JSON object on demand, so CSV writes never build it.
-    """
-    outdir = _outdir(ns)
-    if to_json is not None and ns.format == "json":
-        path = os.path.join(outdir, stem + ".json")
-        write_json(path, to_json())
-    else:
-        path = os.path.join(outdir, stem + ".csv")
-        write_samples_csv(path, axis_name, axis, values)
+def _write_series(ns, stem: str, axis_name: str, axis, values) -> None:
+    """Write one series as <stem>.csv in the output directory."""
+    path = os.path.join(_outdir(ns), stem + ".csv")
+    write_samples_csv(path, axis_name, axis, values)
     _emit(path)
-    return path
 
 
 def _parse_bands(text) -> list[int]:
@@ -143,11 +134,15 @@ def _parse_orders(text: str) -> list[PseudoSplineOrder]:
         if not token:
             continue
         parts = token.split(",")
+        message = f"cannot parse order token {token!r}; expected z,ell or z,ell,u"
         if len(parts) not in (2, 3):
-            raise DomainError(f"cannot parse order token {token!r}; expected z,ell or z,ell,u")
+            raise DomainError(message)
         z = _to_complex(parts[0])
-        ell = int(parts[1])
-        shift = float(parts[2]) if len(parts) == 3 else 0.0
+        try:
+            ell = int(parts[1])
+            shift = float(parts[2]) if len(parts) == 3 else 0.0
+        except ValueError:
+            raise DomainError(message) from None
         orders.append(PseudoSplineOrder(z=z, ell=ell, shift=shift))
     if not orders:
         raise DomainError(f"empty order sweep {text!r}")
@@ -164,10 +159,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
     bands = _parse_bands(ns.bands)
     symbols = {0: sample_H0(order, grid)} if bands == [0] else frames.sample_bank(order, grid)
     for band in bands:
-        sym = symbols[band]
-        extra = {"band": band} if band != 0 else {}
-        _write_series(ns, f"filter_h{band}", "gamma", grid.gamma, sym.values,
-                      lambda: {**symbol_to_dict(sym), **extra})
+        _write_series(ns, f"filter_h{band}", "gamma", grid.gamma, symbols[band].values)
     return 0
 
 
@@ -181,7 +173,7 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
         step=step,
         sup_tolerance=float(ns.sup_tolerance),
     )
-    _write_series(ns, "cascade_phihat", "gamma", profile.points, profile.values, profile.to_dict)
+    _write_series(ns, "cascade_phihat", "gamma", profile.points, profile.values)
     outdir = _outdir(ns)
     diag_path = os.path.join(outdir, "cascade_diagnostics.json")
     write_json(diag_path, diag.to_dict())
@@ -194,16 +186,14 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
             step=_to_step(ns.dt),
             tolerance=float(ns.time_tolerance),
         )
-        _write_series(ns, "cascade_phi_time", "t", tp.points, tp.values, tp.to_dict)
+        _write_series(ns, "cascade_phi_time", "t", tp.points, tp.values)
         sys.stdout.write(f"tail_estimate={format_float(tp.tail_estimate)}\n")
     return 0
 
 
 def cmd_framelets(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
-    bank = frames.build_bank(
-        order, TorusGrid(int(ns.grid)), truncation_eps=float(ns.eps), max_k=ns.max_k
-    )
+    bank = frames.build_bank(order, TorusGrid(int(ns.grid)), truncation_eps=float(ns.eps))
     outdir = _outdir(ns)
     bank_path = os.path.join(outdir, "bank.json")
     write_json(bank_path, frames.bank_to_dict(bank))
@@ -231,15 +221,7 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
         gammas = (np.arange(2 * count + 1) - count) * step
         for n in (1, 2, 3):
             values = frames.framelet_hat(bank, profile, n, gammas)
-            _write_series(
-                ns, f"framelet_psihat_n{n}", "gamma", gammas, values,
-                lambda: {
-                    "order": order_to_dict(order),
-                    "band": n,
-                    "step": step,
-                    "values": [[v.real, v.imag] for v in values],
-                },
-            )
+            _write_series(ns, f"framelet_psihat_n{n}", "gamma", gammas, values)
     if ns.with_time:
         phi = to_time_domain(
             profile,
@@ -249,7 +231,8 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
         )
         for n in (1, 2, 3):
             psi = frames.framelet_time(bank, phi, n)
-            _write_series(ns, f"framelet_psi_n{n}", "t", psi.points, psi.values, psi.to_dict)
+            _write_series(ns, f"framelet_psi_n{n}", "t", psi.points, psi.values)
+            sys.stdout.write(f"psi_n{n} tail_estimate={format_float(psi.tail_estimate)}\n")
     return 0
 
 
@@ -290,7 +273,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         signals=int(ns.signals),
         signal_length=int(ns.signal_length),
         seed=int(ns.seed),
-        tolerance_scale=float(ns.tolerance_scale),
         extrema=ext,
     )
     theta = theta_bound(order)
@@ -308,7 +290,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             "argmax": ext.argmax,
             "theta_bound": theta,
         },
-        "tolerance_scale": float(ns.tolerance_scale),
         "suites": {},
     }
     for suite in ("symbol", "cascade", "frames"):
@@ -426,7 +407,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sub = subparsers.add_parser("filter", help="sample the refinement symbols on a grid")
     _add_common(sub)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="series output format")
     _add_order(sub)
     sub.add_argument("--grid", type=int, default=1024, help="grid resolution (power of two)")
     sub.add_argument("--bands", default="0", help="comma list of bands to write, subset of 0,1,2,3")
@@ -434,7 +414,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sub = subparsers.add_parser("cascade", help="run the Fourier-domain cascade")
     _add_common(sub)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="series output format")
     _add_order(sub)
     _add_cascade_opts(sub)
     sub.add_argument("--sup-tolerance", type=float, default=1e-10)
@@ -445,13 +424,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sub = subparsers.add_parser("framelets", help="build the framelet filter bank")
     _add_common(sub)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="series output format")
     _add_order(sub)
     _add_cascade_opts(sub)
     sub.add_argument("--sup-tolerance", type=float, default=1e-10)
     sub.add_argument("--grid", type=int, default=8192)
     sub.add_argument("--eps", type=float, default=1e-10)
-    sub.add_argument("--max-k", type=int, default=None)
     sub.add_argument("--with-hats", action="store_true", help="also write psi_hat samples")
     sub.add_argument("--psi-window", type=float, default=8.0)
     sub.add_argument("--with-time", action="store_true", help="also write time-domain psi samples")
@@ -478,7 +455,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--signals", type=int, default=50)
     sub.add_argument("--signal-length", type=int, default=1024)
     sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--tolerance-scale", type=float, default=1.0)
     subs["verify"] = sub
 
     sub = subparsers.add_parser("analyze", help="compute exponents and fitted diagnostics")
@@ -523,10 +499,7 @@ def _find_config_path(argv: list[str]) -> str | None:
 
 
 def _apply_config(subs: dict[str, argparse.ArgumentParser], path: str) -> None:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise DomainError(f"config {path} must hold a JSON object")
+    cfg = load_json(path)
     known: set[str] = set()
     for sub in subs.values():
         known.update(a.dest for a in sub._actions)
@@ -554,7 +527,7 @@ def main(argv=None) -> int:
             _apply_config(subs, config_path)
         except OSError as exc:
             return _fail(exc, 1)
-        except (json.JSONDecodeError, PseudoSplineError) as exc:
+        except PseudoSplineError as exc:
             return _fail(exc, 2)
     ns = parser.parse_args(args)
     # looked up on each call, not stored in the shared parser, so that a

@@ -200,10 +200,11 @@ class FilterCoefficients:
         return float(np.sum(np.abs(self.values)))
 
 
-def _coeffs_from_samples(
-    band: int, values: np.ndarray, resolution: int, max_k: int, eps: float
-) -> FilterCoefficients:
-    n = resolution
+def _coeffs_from_samples(band: int, values: np.ndarray, eps: float) -> FilterCoefficients:
+    """Taps of one band's N samples within |k| <= N // 4, the cut past which
+    aliasing_estimate measures the coefficient mass."""
+    n = len(values)
+    cap = n // 4
     ks = np.arange(-n // 2, n // 2)
     c = np.fft.fftshift(np.fft.fft(values)) / n
     c = c * np.where(ks % 2 == 0, 1.0, -1.0)
@@ -214,11 +215,11 @@ def _coeffs_from_samples(
     # sqrt(eps * total) ~ 1e-8 and defeat any tighter truncation eps)
     suffix = np.cumsum(by_absk[::-1])[::-1]
     tails = np.concatenate((suffix[1:], [0.0]))
-    eligible = np.nonzero(tails[: max_k + 1] <= eps * eps)[0]
+    eligible = np.nonzero(tails[: cap + 1] <= eps * eps)[0]
     if len(eligible) == 0:
         raise ToleranceError(
-            f"band {band}: discarded-tail norm {math.sqrt(tails[max_k]):.3e} at |k| <= {max_k} "
-            f"exceeds truncation eps {eps:.3e}; increase max_k or the grid resolution"
+            f"band {band}: discarded-tail norm {math.sqrt(tails[cap]):.3e} at |k| <= {cap} "
+            f"exceeds truncation eps {eps:.3e}; increase the grid resolution"
         )
     radius = int(eligible[0])
     # past eps, keep extending while two more taps still shrink the tail
@@ -228,13 +229,13 @@ def _coeffs_from_samples(
     # and exactly finite filters are already at the floor
     floor = 1e-30 * max(float(np.sum(mass)), 1.0)
     while (
-        radius + 2 <= max_k
+        radius + 2 <= cap
         and tails[radius] > floor
         and tails[radius + 2] <= 0.25 * tails[radius]
     ):
         radius += 1
     keep = np.abs(ks) <= radius
-    aliasing = float(math.sqrt(np.sum(mass[np.abs(ks) > n // 4])))
+    aliasing = float(math.sqrt(np.sum(mass[np.abs(ks) > cap])))
     return FilterCoefficients(
         offset=-radius,
         values=c[keep],
@@ -275,13 +276,12 @@ def uep_errors(bank: FrameletBank) -> tuple[float, float]:
     Returns (diagonal, offdiagonal): max |sum_n |H_n|^2 - 1| and
     max |sum_n H_n(gamma) conj(H_n(gamma + 1/2))|.
     """
-    half = bank.grid.resolution // 2
     diag = np.zeros(bank.grid.resolution)
     off = np.zeros(bank.grid.resolution, dtype=complex)
     for n in range(4):
-        v = bank.symbol(n).values
-        diag += np.abs(v) ** 2
-        off += v * np.conj(np.roll(v, -half))
+        symbol = bank.symbol(n)
+        diag += np.abs(symbol.values) ** 2
+        off += symbol.values * np.conj(symbol.half_shifted())
     return float(np.max(np.abs(diag - 1.0))), float(np.max(np.abs(off)))
 
 
@@ -300,7 +300,7 @@ def sample_bank(order: PseudoSplineOrder, grid: TorusGrid) -> tuple[SampledSymbo
     sigma = eval_sigma(order, grid.gamma)
     phase = np.exp(2j * np.pi * grid.gamma)
     rt2 = math.sqrt(2.0)
-    h1 = phase * np.conj(np.roll(h0.values, -(grid.resolution // 2)))
+    h1 = phase * np.conj(h0.half_shifted())
     return (
         h0,
         SampledSymbol(order, grid, h1),
@@ -309,26 +309,13 @@ def sample_bank(order: PseudoSplineOrder, grid: TorusGrid) -> tuple[SampledSymbo
     )
 
 
-def build_bank(
-    order: PseudoSplineOrder,
-    grid: TorusGrid,
-    truncation_eps: float = 1e-10,
-    max_k: int | None = None,
-) -> FrameletBank:
-    """sample_bank's H0..H3 with filter coefficients truncated at eps."""
+def build_bank(order: PseudoSplineOrder, grid: TorusGrid, truncation_eps: float = 1e-10) -> FrameletBank:
+    """sample_bank's H0..H3 with filter coefficients truncated at eps, within |k| <= N // 4."""
     n = grid.resolution
     if n < 64:
         raise ResolutionError(f"bank construction needs grid resolution >= 64, got {n}")
-    if max_k is None:
-        max_k = n // 4
-    max_k = int(max_k)
-    if max_k < 1 or n < 2 * max_k:
-        raise ResolutionError(f"max_k must satisfy 1 <= max_k <= resolution/2, got {max_k}")
     symbols = sample_bank(order, grid)
-    coeffs = {
-        band: _coeffs_from_samples(band, symbols[band].values, n, max_k, truncation_eps)
-        for band in range(4)
-    }
+    coeffs = {band: _coeffs_from_samples(band, symbols[band].values, truncation_eps) for band in range(4)}
     return FrameletBank(
         order=order,
         grid=grid,
@@ -401,7 +388,7 @@ def framelet_time(bank: FrameletBank, phi: Profile, n: int) -> Profile:
     out *= 2.0
     sup_phi = float(np.max(np.abs(vals)))
     tail = 2.0 * coeffs.tail_norm * sup_phi + 2.0 * coeffs.sum_abs() * phi.tail_estimate
-    return Profile(bank.order, "time", phi.half_width, phi.step, out, tail_estimate=tail)
+    return Profile(bank.order, phi.half_width, phi.step, out, tail_estimate=tail)
 
 
 def _require_length(n: int) -> None:
@@ -774,24 +761,26 @@ def bank_to_dict(bank: FrameletBank) -> dict:
 
 
 def bank_from_dict(d: dict) -> FrameletBank:
-    """Rebuild a coefficient-only bank (H is None) from its JSON form."""
+    """Rebuild a coefficient-only bank (H is None) from its JSON form; a
+    missing or malformed entry raises DomainError."""
     from .serialize import order_from_dict
 
-    coeffs = {}
-    for key, entry in d["coeffs"].items():
-        values = np.array([complex(re, im) for re, im in entry["values"]], dtype=complex)
-        coeffs[int(key)] = FilterCoefficients(
-            offset=int(entry["offset"]),
-            values=values,
-            tail_norm=float(entry["tail_norm"]),
-            aliasing_estimate=float(entry["aliasing_estimate"]),
-        )
+    try:
+        coeffs = {}
+        for key, entry in d["coeffs"].items():
+            values = np.array([complex(re, im) for re, im in entry["values"]], dtype=complex)
+            coeffs[int(key)] = FilterCoefficients(
+                offset=int(entry["offset"]),
+                values=values,
+                tail_norm=float(entry["tail_norm"]),
+                aliasing_estimate=float(entry["aliasing_estimate"]),
+            )
+        order = order_from_dict(d["order"])
+        resolution, eps = int(d["resolution"]), float(d["truncation_eps"])
+    except KeyError as exc:
+        raise DomainError(f"bank JSON has no {exc.args[0]!r} entry") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed bank JSON ({exc})") from None
     if sorted(coeffs) != [0, 1, 2, 3]:
         raise DomainError("bank JSON must carry coefficient entries for bands 0..3")
-    return FrameletBank(
-        order=order_from_dict(d["order"]),
-        grid=TorusGrid(int(d["resolution"])),
-        H=None,
-        coeffs=coeffs,
-        truncation_eps=float(d["truncation_eps"]),
-    )
+    return FrameletBank(order=order, grid=TorusGrid(resolution), H=None, coeffs=coeffs, truncation_eps=eps)

@@ -8,9 +8,7 @@ deterministic byte for byte.
 Shapes:
   - sample CSV: header ``gamma,re,im,abs`` (or ``t,...`` for time data),
     one row per sample.
-  - symbol JSON: {"order": {"z_re", "z_im", "ell", "u"}, "resolution",
-    "values": [[re, im], ...]}.
-  - bank JSON: {"order", "resolution", "truncation_eps",
+  - bank JSON: {"order": {"z_re", "z_im", "ell", "u"}, "resolution", "truncation_eps",
     "coeffs": {"0".."3": {"offset", "values": [[re, im], ...],
     "tail_norm", "aliasing_estimate"}}}.
 """
@@ -25,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .symbol import PseudoSplineOrder, SampledSymbol
+from .symbol import PseudoSplineOrder
 
 __all__ = [
     "format_float",
@@ -33,7 +31,6 @@ __all__ = [
     "read_samples_csv",
     "order_to_dict",
     "order_from_dict",
-    "symbol_to_dict",
     "dump_json",
     "write_json",
     "load_json",
@@ -90,7 +87,10 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
             raise DomainError(f"{path}: not a sample CSV (missing header)")
         with warnings.catch_warnings():  # a header-only file reads as no rows
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2)
+            except ValueError as exc:
+                raise DomainError(f"{path}: not a sample CSV ({exc})") from None
     vals = np.empty(len(data), dtype=complex)
     vals.real = data[:, 1]
     vals.imag = data[:, 2]
@@ -109,14 +109,6 @@ def order_from_dict(d: dict) -> PseudoSplineOrder:
     )
 
 
-def symbol_to_dict(symbol: SampledSymbol) -> dict:
-    return {
-        "order": order_to_dict(symbol.order),
-        "resolution": symbol.grid.resolution,
-        "values": [[v.real, v.imag] for v in symbol.values],
-    }
-
-
 def dump_json(obj) -> str:
     """Deterministic JSON text (sorted keys, fixed separators, trailing \\n)."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -128,5 +120,12 @@ def write_json(path, obj) -> None:
 
 
 def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object a file holds; DomainError if it holds invalid JSON or no object."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise DomainError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DomainError(f"{path} must hold a JSON object")
+    return obj

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pseudosplines import cascade, cli
-from pseudosplines.errors import DomainError, GridCompatibilityError, ToleranceError
+from pseudosplines.errors import GridCompatibilityError, ToleranceError
 from pseudosplines.cascade import (
     CascadeDiagnostics,
-    Profile,
     fourier_to_time,
     refinement_residual,
     run_cascade,
@@ -62,8 +61,8 @@ def test_refinement_residual_after_convergence():
 
 
 def test_cascade_step_increments_the_level():
-    p1, _ = run_cascade(PseudoSplineOrder(1.5, 0), levels=1, window=8.0, step=1.0 / 16)
-    assert p1.level_m == 1
+    p1, diag = run_cascade(PseudoSplineOrder(1.5, 0), levels=1, window=8.0, step=1.0 / 16)
+    assert diag.levels == 1
     assert p1.values.shape == (2 * 128 + 1,)
     # one step must not move the origin value
     assert p1.value_at_zero() == pytest.approx(1.0, abs=1e-14)
@@ -72,11 +71,6 @@ def test_cascade_step_increments_the_level():
 def test_diagnostics_serialize_deterministically():
     _, diag = run_cascade(PseudoSplineOrder(1.5, 1), levels=12, window=16.0, step=1.0 / 16)
     assert diag.to_dict() == diag.to_dict()
-
-
-def test_a_profile_lives_in_the_fourier_or_the_time_domain():
-    with pytest.raises(DomainError, match="'fourier' or 'time'"):
-        Profile(PseudoSplineOrder(1.0, 0), "space", 1.0, 0.5, np.zeros(5))
 
 
 def test_time_inversion_recovers_the_triangle():
@@ -262,7 +256,6 @@ def test_half_grid_cascade_equals_the_full_grid_loop(alpha, beta, ell_pick, shif
         profile, diag = run_cascade(order, levels=levels, window=window, step=step, sup_tolerance=tol)
     values, ref = full_grid_cascade(order, levels, window, step, tol)
     assert np.array_equal(profile.values, values)
-    assert profile.level_m == ref.levels
     assert diag.to_dict() == ref.to_dict()
 
 

@@ -51,9 +51,10 @@ def test_frames_suite_passes():
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
-def test_tolerance_scale_tightens_until_failure():
-    results = run_symbol_checks(PseudoSplineOrder(1.5, 1), resolution=256, tolerance_scale=1e-20)
-    assert any(not r.passed for r in results)
+def test_a_cascade_cut_short_fails_its_checks():
+    results = run_cascade_checks(PseudoSplineOrder(1.0, 0), levels=3)
+    failed = [r.name for r in results if not r.passed]
+    assert failed == ["refinement_residual", "final_sup_change"]
 
 
 def test_run_all_reports_three_suites():

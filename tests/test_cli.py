@@ -11,13 +11,7 @@ import pytest
 from pseudosplines import cli, frames
 from pseudosplines.cascade import run_cascade, to_time_domain
 from pseudosplines.errors import ConsistencyError
-from pseudosplines.serialize import (
-    dump_json,
-    order_to_dict,
-    read_samples_csv,
-    symbol_to_dict,
-    write_samples_csv,
-)
+from pseudosplines.serialize import read_samples_csv, write_samples_csv
 from pseudosplines.symbol import PseudoSplineOrder, TorusGrid
 
 
@@ -197,14 +191,17 @@ def test_verify_passes_and_reports_the_partition(tmp_path, capsys):
 
 
 def test_verify_exit_code_on_failure(tmp_path, capsys):
+    # three cascade levels leave phi_hat far from its limit
     rc, out, _ = run(
         ["verify", "--z", "1", "--ell", "0", "--grid", "256", "--frames-grid", "512",
-         "--signals", "5", "--levels", "12", "--tolerance-scale", "1e-20"],
+         "--signals", "5", "--levels", "3"],
         tmp_path,
         capsys,
     )
     assert rc == 3
-    assert "FAIL" in out
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["cascade.refinement_residual", "cascade.final_sup_change"]
+    assert "17/19 checks passed" in out
 
 
 def test_verify_writes_its_report_when_a_suite_raises(tmp_path, capsys):
@@ -439,6 +436,11 @@ def test_framelet_outputs_are_byte_identical(tmp_path, capsys):
         ["sweep", "--sup-tolerance", "1e-3"],
         ["filter", "--eps", "1e-8"],
         ["filter", "--max-k", "64"],
+        ["filter", "--format", "json"],
+        ["cascade", "--format", "json"],
+        ["framelets", "--format", "json"],
+        ["framelets", "--max-k", "64"],
+        ["verify", "--tolerance-scale", "1e-20"],
     ],
 )
 def test_options_that_changed_nothing_are_rejected(tmp_path, capsys, argv):
@@ -520,43 +522,80 @@ def test_missing_order_is_a_config_error(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_json_format_filter_output(tmp_path, capsys):
-    rc, _, _ = run(
-        ["filter", "--z", "1", "--ell", "0", "--grid", "64", "--format", "json"],
-        tmp_path,
-        capsys,
-    )
-    assert rc == 0
-    obj = json.loads((tmp_path / "filter_h0.json").read_text())
-    assert obj["order"]["ell"] == 0
-
-
-def test_json_series_hold_the_objects_the_library_builds(tmp_path, capsys):
+def test_series_files_hold_the_samples_the_library_builds(tmp_path, capsys):
     order = PseudoSplineOrder(3.2 + 1.0j, 2)
-    args = ["--z", "3.2+1i", "--ell", "2", "--format", "json"]
+    args = ["--z", "3.2+1i", "--ell", "2"]
     assert run(["filter", *args, "--grid", "1024", "--bands", "0,1"], tmp_path, capsys)[0] == 0
     assert run(["cascade", *args, "--time-half-width", "4"], tmp_path, capsys)[0] == 0
-    assert run(["framelets", *args, "--grid", "1024", "--with-hats", "--psi-window", "2",
-                "--with-time", "--time-half-width", "4"], tmp_path, capsys)[0] == 0
+    rc, out, _ = run(["framelets", *args, "--grid", "1024", "--with-hats", "--psi-window", "2",
+                      "--with-time", "--time-half-width", "4"], tmp_path, capsys)
+    assert rc == 0
 
-    expected = {}
     bank = frames.build_bank(order, TorusGrid(1024))
-    expected["filter_h0"] = symbol_to_dict(bank.symbol(0))
-    expected["filter_h1"] = {**symbol_to_dict(bank.symbol(1)), "band": 1}
     profile, _ = run_cascade(order)
-    expected["cascade_phihat"] = profile.to_dict()
-    expected["cascade_phi_time"] = to_time_domain(profile, half_width=4.0, step=1 / 32).to_dict()
+    phi = to_time_domain(profile, half_width=4.0, step=1 / 32)
+    expected = {
+        "filter_h0": (bank.grid.gamma, bank.symbol(0).values),
+        "filter_h1": (bank.grid.gamma, bank.symbol(1).values),
+        "cascade_phihat": (profile.points, profile.values),
+        "cascade_phi_time": (phi.points, phi.values),
+    }
     gammas = (np.arange(257) - 128) / 64
-    phi = to_time_domain(profile, half_width=4.0, step=1 / 32, tolerance=1e-2)
     for n in (1, 2, 3):
-        values = frames.framelet_hat(bank, profile, n, gammas)
-        expected[f"framelet_psihat_n{n}"] = {
-            "order": order_to_dict(order),
-            "band": n,
-            "step": 1 / 64,
-            "values": [[v.real, v.imag] for v in values],
-        }
-        expected[f"framelet_psi_n{n}"] = frames.framelet_time(bank, phi, n).to_dict()
-    for stem, obj in expected.items():
-        assert (tmp_path / f"{stem}.json").read_text() == dump_json(obj), stem
-    assert not list(tmp_path.glob("*.csv"))
+        expected[f"framelet_psihat_n{n}"] = (gammas, frames.framelet_hat(bank, profile, n, gammas))
+        psi = frames.framelet_time(bank, phi, n)
+        expected[f"framelet_psi_n{n}"] = (psi.points, psi.values)
+        assert f"psi_n{n} tail_estimate={psi.tail_estimate!r}\n" in out
+    for stem, (axis, values) in expected.items():
+        got_axis, got = read_samples_csv(tmp_path / f"{stem}.csv")
+        assert np.array_equal(got_axis, axis) and np.array_equal(got, values), stem
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv"] * 10 + [".json"] * 2
+
+
+def test_framelets_tail_that_cannot_reach_eps_is_a_tolerance_error(tmp_path, capsys):
+    rc, _, err = run(["framelets", "--z", "1.5", "--ell", "0", "--grid", "256"], tmp_path, capsys)
+    assert rc == 4
+    assert "band 0: discarded-tail norm" in err and "at |k| <= 64 exceeds truncation eps" in err
+
+
+ONE_TAP_BANK = {
+    "order": {"z_re": 1.0, "ell": 0},
+    "resolution": 64,
+    "truncation_eps": 1e-10,
+    "coeffs": {
+        str(n): {"offset": 0, "values": [[1.0, 0.0]], "tail_norm": 0.0, "aliasing_estimate": 0.0}
+        for n in range(4)
+    },
+}
+TRANSFORM = ["transform", "--bank", "bank.json", "--input", "signal.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, named",
+    [
+        (["sweep", "--orders", "2,x"], {}, "'2,x'"),
+        (["sweep", "--orders", "2,1,abc"], {}, "'2,1,abc'"),
+        (["sweep", "--orders", "2,1.5"], {}, "'2,1.5'"),
+        (TRANSFORM, {"bank.json": json.dumps(ONE_TAP_BANK),
+                     "signal.csv": "index,re,im,abs\n0,1,0,1\n1,abc,0,1\n"}, "signal.csv"),
+        (TRANSFORM, {"bank.json": "{not json"}, "bank.json"),
+        (TRANSFORM, {"bank.json": "[1, 2]"}, "bank.json"),
+        (TRANSFORM, {"bank.json": json.dumps({"order": ONE_TAP_BANK["order"]})}, "'coeffs'"),
+        (TRANSFORM, {"bank.json": json.dumps({k: v for k, v in ONE_TAP_BANK.items() if k != "order"})},
+         "'order'"),
+        (TRANSFORM, {"bank.json": json.dumps({**ONE_TAP_BANK, "coeffs": []})}, "malformed bank JSON"),
+        (TRANSFORM, {"bank.json": json.dumps({**ONE_TAP_BANK, "coeffs": {
+            n: {**c, "values": [[1.0]]} for n, c in ONE_TAP_BANK["coeffs"].items()}})}, "malformed bank JSON"),
+        (["filter", "--config", "run.json"], {"run.json": '{"z": true}'}, "True"),
+    ],
+    ids=["z-ell-token", "shift-token", "fractional-ell", "csv-row", "invalid-json",
+         "json-list", "bank-without-coeffs", "bank-without-order", "coeffs-list", "one-part-value",
+         "boolean-z"],
+)
+def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, files, named):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    rc, _, err = run(argv, tmp_path, capsys)
+    assert rc == 2
+    assert err.startswith("error: ") and named in err and "Traceback" not in err

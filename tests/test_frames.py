@@ -24,6 +24,7 @@ from pseudosplines.errors import (
     DomainError,
     GridCompatibilityError,
     ResolutionError,
+    ToleranceError,
     WindowError,
 )
 from pseudosplines.serialize import dump_json
@@ -250,9 +251,11 @@ def test_truncation_tails_are_recorded_and_small():
     assert bank.truncation_eps == 1e-10
 
 
-def test_extract_coeffs_respects_max_k():
-    with pytest.raises(ResolutionError):
-        frames.build_bank(BANK_15_0.order, BANK_15_0.grid, max_k=BANK_15_0.grid.resolution)
+def test_taps_stop_at_a_quarter_of_the_grid():
+    assert BANK_15_0.max_support_radius() <= BANK_15_0.grid.resolution // 4
+    # the (1.5, 0) tails decay like k^-5: at N = 256 the radius 64 leaves 6.2e-08
+    with pytest.raises(ToleranceError, match=r"band 0: discarded-tail norm 6\.200e-08 at \|k\| <= 64 "):
+        frames.build_bank(BANK_15_0.order, TorusGrid(256))
 
 
 # ---------------------------------------------------------------- framelets
@@ -281,7 +284,7 @@ def exact_hat_profile(order, half_width=2.0, step=0.25):
     n = int(round(half_width / step))
     ts = (np.arange(2 * n + 1) - n) * step
     values = np.clip(1.0 - np.abs(ts), 0.0, None).astype(complex)
-    return Profile(order, "time", half_width, step, values)
+    return Profile(order, half_width, step, values)
 
 
 def test_framelet_time_piecewise_linear_wavelet():

@@ -1,13 +1,16 @@
-"""The README's library quickstart runs as written and documents the public surface."""
+"""The README's library quickstart runs as written and documents the public
+surface, and its command lines use only options the CLI has."""
 
 import ast
 import pathlib
 import re
+import shlex
 
 import numpy as np
+import pytest
 
 import pseudosplines
-from pseudosplines import errors
+from pseudosplines import cli, errors
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +47,37 @@ def test_public_surface_is_the_quickstart_plus_the_error_types():
     assert len(imported) == 14 and len(error_types) == 10
     assert sorted(pseudosplines.__all__) == sorted(imported + error_types + ["__version__"])
     assert all(hasattr(pseudosplines, name) for name in pseudosplines.__all__)
+
+
+def shell_commands() -> list[list[str]]:
+    """The arguments of each `pseudosplines ...` line in the README's sh blocks,
+    continuation lines joined."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["pseudosplines"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_command_lines_parse():
+    parser = cli.build_parser()[0]
+    commands = shell_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pseudosplines {shlex.join(argv)}")
+
+
+def test_every_flag_the_readme_names_is_a_cli_option():
+    options = {
+        option
+        for sub in cli.build_parser()[1].values()
+        for action in sub._actions
+        for option in action.option_strings
+    }
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text())) - {"--no-build-isolation"}
+    assert sorted(named - options) == []

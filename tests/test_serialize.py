@@ -16,11 +16,10 @@ from pseudosplines.serialize import (
     order_from_dict,
     order_to_dict,
     read_samples_csv,
-    symbol_to_dict,
     write_json,
     write_samples_csv,
 )
-from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, sample_H0
+from pseudosplines.symbol import PseudoSplineOrder
 
 
 @settings(deadline=None, max_examples=300)
@@ -201,15 +200,6 @@ def test_order_dict_round_trip(order):
     d = order_to_dict(order)
     back = order_from_dict(json.loads(json.dumps(d)))
     assert back == order
-
-
-def test_symbol_dict_round_trip():
-    sym = sample_H0(PseudoSplineOrder(2.7, 1), TorusGrid(128))
-    d = json.loads(dump_json(symbol_to_dict(sym)))
-    assert order_from_dict(d["order"]) == sym.order
-    assert d["resolution"] == sym.grid.resolution
-    back = np.array([complex(re, im) for re, im in d["values"]])
-    assert np.array_equal(back, sym.values)
 
 
 def test_format_float_handles_extremes():
