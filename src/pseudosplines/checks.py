@@ -15,7 +15,7 @@ import numpy as np
 from . import frames
 from .analysis import lowpass_condition
 from .cascade import refinement_residual, run_cascade
-from .errors import PseudoSplineError
+from .errors import DomainError, PseudoSplineError
 from .symbol import (
     PartitionExtrema,
     PseudoSplineOrder,
@@ -31,7 +31,6 @@ from .symbol import (
 
 __all__ = [
     "CheckResult",
-    "default_bank_resolution",
     "run_symbol_checks",
     "run_cascade_checks",
     "run_frames_checks",
@@ -65,18 +64,6 @@ class CheckResult:
         if self.error is not None:
             d["error"] = str(self.error)
         return d
-
-
-def default_bank_resolution(order: PseudoSplineOrder) -> int:
-    """8192, doubled to 16384 for fractional shifts (slower coefficient decay).
-
-    A fractional u makes the sampled symbols vanish only to finite order at
-    the periodization seam, so the coefficient tail needs a larger tap
-    radius, N // 4, to reach the default truncation eps.
-    """
-    if order.shift != int(order.shift):
-        return 16384
-    return 8192
 
 
 def run_symbol_checks(
@@ -146,10 +133,13 @@ def run_frames_checks(
     signals: int = 50,
     signal_length: int = 1024,
     seed: int = 7,
-) -> list[CheckResult]:
-    if resolution is None:
-        resolution = default_bank_resolution(order)
-    bank = frames.build_bank(order, TorusGrid(resolution), truncation_eps=truncation_eps)
+) -> tuple[list[CheckResult], int]:
+    """The frames suite and its bank's resolution: TorusGrid(resolution), or
+    the grid build_bank sizes to the order when resolution is None."""
+    if signals < 1:
+        raise DomainError(f"the frames suite needs at least 1 test signal, got {signals}")
+    frames._require_length(signal_length)
+    bank = frames.build_bank(order, None if resolution is None else TorusGrid(resolution), truncation_eps)
     diag, off = frames.uep_errors(bank)
     results = [
         CheckResult("uep_diagonal", diag, 1e-10),
@@ -162,28 +152,29 @@ def run_frames_checks(
         CheckResult("sigma_squared_equals_eta", float(np.max(np.abs(np.abs(sigma) ** 2 - eta))), 1e-12)
     )
 
-    zero_index = resolution // 2
+    zero_index = bank.grid.resolution // 2
     moment = max(abs(complex(bank.symbol(n).values[zero_index])) for n in (1, 2, 3))
     results.append(CheckResult("vanishing_moments", moment, 1e-12))
 
     limit = max(1e-8, 10.0 * truncation_eps)
-    frames._require_length(signal_length)
     # row i is standard_normal(n) + 1j * standard_normal(n), drawn in that
     # order; the rows run as one batch
     noise = np.random.default_rng(seed).standard_normal((signals, 2, signal_length))
-    data = noise[:, 0] + 1j * noise[:, 1]
+    data = np.empty((signals, signal_length), dtype=complex)
+    data.real = noise[:, 0]
+    data.imag = noise[:, 1]
     details, approx, back = frames._round_trip(bank, data, 1)
-    energies = sum(np.sum(np.abs(band) ** 2, axis=-1) for band in (approx, *details[0]))
-    inputs = np.sum(np.abs(data) ** 2, axis=-1)
+    energies = sum(np.vecdot(band.view(float), band.view(float)) for band in (approx, *details[0]))
+    inputs = np.vecdot(data.view(float), data.view(float))
     worst_energy = float(np.max(np.abs(energies - inputs) / inputs, initial=0.0))
-    errors = np.linalg.norm(back - data, axis=-1) / np.linalg.norm(data, axis=-1)
+    errors = np.linalg.norm(back - data, axis=-1) / np.sqrt(inputs)
     worst_roundtrip = float(np.max(errors, initial=0.0))
     results.append(CheckResult("discrete_parseval", worst_energy, limit))
     results.append(CheckResult("perfect_reconstruction", worst_roundtrip, limit))
 
     ok, total = lowpass_condition(order)
     results.append(CheckResult("lowpass_arctan_in_range", 0.0 if ok else abs(total), 0.5 * math.pi))
-    return results
+    return results, bank.grid.resolution
 
 
 def _suite(run, *args) -> list[CheckResult]:
@@ -206,16 +197,21 @@ def run_all(
     signal_length: int = 1024,
     seed: int = 7,
     extrema: PartitionExtrema | None = None,
-) -> dict[str, list[CheckResult]]:
+) -> tuple[dict[str, list[CheckResult]], int | None]:
     """Every suite, each run on its own: one that raises does not stop the others.
 
-    `extrema` goes to run_symbol_checks: partition_extrema(order,
+    Returns the suites and the frames bank's resolution (None if that suite
+    raised).  `extrema` goes to run_symbol_checks: partition_extrema(order,
     TorusGrid(symbol_resolution)) if the caller has it already.
     """
-    return {
+    suites = {
         "symbol": _suite(run_symbol_checks, order, symbol_resolution, extrema),
         "cascade": _suite(run_cascade_checks, order, levels, window, step),
-        "frames": _suite(
-            run_frames_checks, order, frames_resolution, truncation_eps, signals, signal_length, seed
-        ),
     }
+    try:
+        suites["frames"], resolution = run_frames_checks(
+            order, frames_resolution, truncation_eps, signals, signal_length, seed
+        )
+    except PseudoSplineError as exc:
+        suites["frames"], resolution = [CheckResult("error", math.inf, 0.0, exc)], None
+    return suites, resolution

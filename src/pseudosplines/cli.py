@@ -21,7 +21,7 @@ import numpy as np
 from . import frames
 from .analysis import full_report
 from .cascade import run_cascade, to_time_domain
-from .checks import default_bank_resolution, run_all
+from .checks import run_all
 from .errors import (
     ConditionError,
     ConsistencyError,
@@ -262,7 +262,7 @@ def cmd_transform(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
     ext = partition_extrema(order, TorusGrid(int(ns.grid)))
-    results = run_all(
+    results, frames_resolution = run_all(
         order,
         symbol_resolution=int(ns.grid),
         frames_resolution=None if ns.frames_grid is None else int(ns.frames_grid),
@@ -280,6 +280,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         f"partition min={format_float(ext.min)} theta_bound={format_float(theta)} "
         f"max={format_float(ext.max)}\n"
     )
+    sys.stdout.write(f"frames_resolution={frames_resolution}\n")
     all_passed = True
     report = {
         "order": order_to_dict(order),
@@ -290,6 +291,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             "argmax": ext.argmax,
             "theta_bound": theta,
         },
+        "frames_resolution": frames_resolution,
         "suites": {},
     }
     for suite in ("symbol", "cascade", "frames"):
@@ -346,8 +348,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         grid = TorusGrid(int(ns.grid))
         ext = partition_extrema(order, grid)
         theta = theta_bound(order)
-        frames_grid = int(ns.frames_grid) if ns.frames_grid is not None else default_bank_resolution(order)
-        bank = frames.build_bank(order, TorusGrid(frames_grid), truncation_eps=float(ns.eps))
+        frames_grid = None if ns.frames_grid is None else TorusGrid(int(ns.frames_grid))
+        bank = frames.build_bank(order, frames_grid, truncation_eps=float(ns.eps))
         uep_diag, uep_off = frames.uep_errors(bank)
         report = full_report(
             order,
@@ -366,6 +368,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 "uep_diagonal_error": uep_diag,
                 "uep_offdiagonal_error": uep_off,
                 "max_support_radius": bank.max_support_radius(),
+                "frames_resolution": bank.grid.resolution,
                 "report": report.to_dict(),
             }
         )
@@ -469,7 +472,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_cascade_opts(sub)
     sub.add_argument("--orders", default=DEFAULT_SWEEP, help="semicolon list of z,ell or z,ell,u")
     sub.add_argument("--grid", type=int, default=4096)
-    sub.add_argument("--frames-grid", type=int, default=None)
+    sub.add_argument("--frames-grid", type=int, default=None, help="bank resolution (default: automatic)")
     sub.add_argument("--eps", type=float, default=1e-10)
     sub.add_argument("--with-fits", action="store_true")
     subs["sweep"] = sub

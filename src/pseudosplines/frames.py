@@ -200,9 +200,10 @@ class FilterCoefficients:
         return float(np.sum(np.abs(self.values)))
 
 
-def _coeffs_from_samples(band: int, values: np.ndarray, eps: float) -> FilterCoefficients:
+def _coeffs_from_samples(band: int, values: np.ndarray, eps: float, remedy: str) -> FilterCoefficients:
     """Taps of one band's N samples within |k| <= N // 4, the cut past which
-    aliasing_estimate measures the coefficient mass."""
+    aliasing_estimate measures the coefficient mass; `remedy` ends the
+    ToleranceError when no radius meets eps."""
     n = len(values)
     cap = n // 4
     ks = np.arange(-n // 2, n // 2)
@@ -219,7 +220,7 @@ def _coeffs_from_samples(band: int, values: np.ndarray, eps: float) -> FilterCoe
     if len(eligible) == 0:
         raise ToleranceError(
             f"band {band}: discarded-tail norm {math.sqrt(tails[cap]):.3e} at |k| <= {cap} "
-            f"exceeds truncation eps {eps:.3e}; increase the grid resolution"
+            f"exceeds truncation eps {eps:.3e}; {remedy}"
         )
     radius = int(eligible[0])
     # past eps, keep extending while two more taps still shrink the tail
@@ -309,20 +310,39 @@ def sample_bank(order: PseudoSplineOrder, grid: TorusGrid) -> tuple[SampledSymbo
     )
 
 
-def build_bank(order: PseudoSplineOrder, grid: TorusGrid, truncation_eps: float = 1e-10) -> FrameletBank:
-    """sample_bank's H0..H3 with filter coefficients truncated at eps, within |k| <= N // 4."""
-    n = grid.resolution
-    if n < 64:
-        raise ResolutionError(f"bank construction needs grid resolution >= 64, got {n}")
+_GRID_CAP = 2**18
+
+
+def _bank_on(order: PseudoSplineOrder, grid: TorusGrid, eps: float, remedy: str) -> FrameletBank:
     symbols = sample_bank(order, grid)
-    coeffs = {band: _coeffs_from_samples(band, symbols[band].values, truncation_eps) for band in range(4)}
-    return FrameletBank(
-        order=order,
-        grid=grid,
-        H=symbols,
-        coeffs=coeffs,
-        truncation_eps=float(truncation_eps),
-    )
+    coeffs = {band: _coeffs_from_samples(band, symbols[band].values, eps, remedy) for band in range(4)}
+    return FrameletBank(order=order, grid=grid, H=symbols, coeffs=coeffs, truncation_eps=float(eps))
+
+
+def build_bank(
+    order: PseudoSplineOrder, grid: TorusGrid | None = None, truncation_eps: float = 1e-10
+) -> FrameletBank:
+    """sample_bank's H0..H3 with filter coefficients truncated at eps, within |k| <= N // 4.
+
+    With grid None the grid is sized to the order: N starts at the least
+    power of two >= 64 with N // 4 > |u| and doubles while a band's tail at
+    N // 4 exceeds eps.  Past 2^18 points a ToleranceError names that cap,
+    before any sampling if |u| alone is past it.
+    """
+    if grid is not None:
+        if grid.resolution < 64:
+            raise ResolutionError(f"bank construction needs grid resolution >= 64, got {grid.resolution}")
+        return _bank_on(order, grid, truncation_eps, "increase the grid resolution")
+    cap = f"the automatic bank grid stops at 2^18 = {_GRID_CAP} points"
+    n = max(64, 1 << int(4.0 * abs(order.shift)).bit_length())
+    if n > _GRID_CAP:
+        raise ToleranceError(f"{order.label()}: the taps need N // 4 > |u| = {abs(order.shift):g}; {cap}")
+    while n < _GRID_CAP:
+        try:
+            return _bank_on(order, TorusGrid(n), truncation_eps, cap)
+        except ToleranceError:
+            n *= 2
+    return _bank_on(order, TorusGrid(n), truncation_eps, cap)
 
 
 def _interp_periodic(values: np.ndarray, resolution: int, gamma: np.ndarray) -> np.ndarray:

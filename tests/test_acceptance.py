@@ -14,7 +14,6 @@ import pytest
 
 from pseudosplines import analysis, cli, frames
 from pseudosplines.cascade import run_cascade, refinement_residual
-from pseudosplines.checks import default_bank_resolution
 from pseudosplines.symbol import (
     PseudoSplineOrder,
     TorusGrid,
@@ -51,9 +50,7 @@ _BANKS: dict = {}
 
 def bank_for(order):
     if order not in _BANKS:
-        _BANKS[order] = frames.build_bank(
-            order, TorusGrid(default_bank_resolution(order)), truncation_eps=1e-10
-        )
+        _BANKS[order] = frames.build_bank(order)
     return _BANKS[order]
 
 
@@ -224,9 +221,7 @@ def test_criterion_8_bank_identities_and_reconstruction(u):
     rng = np.random.default_rng(8)
     for z, ell in SHIFT_BASES:
         order = PseudoSplineOrder(z, ell, shift=u)
-        bank = frames.build_bank(
-            order, TorusGrid(default_bank_resolution(order)), truncation_eps=1e-10
-        )
+        bank = frames.build_bank(order)
         diag, off = frames.uep_errors(bank)
         assert diag < 1e-10
         assert off < 1e-10

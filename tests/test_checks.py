@@ -1,16 +1,22 @@
 """The verification suites underlying the verify command."""
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from pseudosplines import cli, frames
+from pseudosplines.analysis import lowpass_condition
 from pseudosplines.checks import (
     CheckResult,
-    default_bank_resolution,
     run_all,
     run_cascade_checks,
     run_frames_checks,
     run_symbol_checks,
 )
-from pseudosplines.symbol import PseudoSplineOrder
+from pseudosplines.errors import ToleranceError
+from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, max_ell
+
+# the orders of the verify_sweep benchmark workload
+VERIFY_SWEEP = [*cli._parse_orders(cli.DEFAULT_SWEEP), PseudoSplineOrder(2.0, 1, shift=0.5)]
 
 
 def test_check_result_semantics():
@@ -22,10 +28,13 @@ def test_check_result_semantics():
     assert d["name"] == "x" and d["passed"] is True
 
 
-def test_default_bank_resolution_depends_on_the_shift():
-    assert default_bank_resolution(PseudoSplineOrder(1.5, 0)) == 8192
-    assert default_bank_resolution(PseudoSplineOrder(1.5, 0, shift=2.0)) == 8192
-    assert default_bank_resolution(PseudoSplineOrder(1.5, 0, shift=0.5)) == 16384
+def test_sized_bank_grid_is_the_least_that_meets_eps():
+    for order in VERIFY_SWEEP:
+        results, n = run_frames_checks(order, signals=5)
+        assert all(r.passed for r in results), (order.label(), [r for r in results if not r.passed])
+        if n > 64:
+            with pytest.raises(ToleranceError):
+                frames.build_bank(order, TorusGrid(n // 2))
 
 
 def test_symbol_suite_passes_for_representative_orders():
@@ -47,7 +56,8 @@ def test_cascade_suite_passes():
 
 
 def test_frames_suite_passes():
-    results = run_frames_checks(PseudoSplineOrder(2.0, 1), resolution=1024, signals=10)
+    results, n = run_frames_checks(PseudoSplineOrder(2.0, 1), resolution=1024, signals=10)
+    assert n == 1024
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
@@ -58,7 +68,7 @@ def test_a_cascade_cut_short_fails_its_checks():
 
 
 def test_run_all_reports_three_suites():
-    out = run_all(
+    out, frames_resolution = run_all(
         PseudoSplineOrder(1.0, 0),
         symbol_resolution=256,
         frames_resolution=512,
@@ -68,6 +78,29 @@ def test_run_all_reports_three_suites():
         signals=5,
         signal_length=256,
     )
+    assert frames_resolution == 512
     assert set(out) == {"symbol", "cascade", "frames"}
     for results in out.values():
         assert results and all(r.passed for r in results)
+
+
+# Every order of this box that the constructor and the arctan condition
+# accept passes the frames suite at its sized grid, or needs more than the
+# automatic grid's 2^18 points; (1.044+8.21i, 0) needs all of them.
+@settings(deadline=None, max_examples=40)
+@given(
+    alpha=st.floats(min_value=1.0, max_value=8.0),
+    beta=st.floats(min_value=-10.0, max_value=10.0),
+    ell_fraction=st.floats(min_value=0.0, max_value=1.0),
+    shift=st.one_of(st.just(0.0), st.floats(min_value=-4.0, max_value=4.0)),
+)
+@example(alpha=1.044, beta=8.21, ell_fraction=0.0, shift=0.0)
+def test_frames_suite_passes_or_names_the_cap_across_the_box(alpha, beta, ell_fraction, shift):
+    order = PseudoSplineOrder(complex(alpha, beta), int(ell_fraction * max_ell(alpha)), shift=shift)
+    assume(lowpass_condition(order)[0])
+    try:
+        results, _ = run_frames_checks(order, signals=5)
+    except ToleranceError as exc:
+        assert "2^18" in str(exc)
+        return
+    assert all(r.passed for r in results), (order.label(), [r for r in results if not r.passed])

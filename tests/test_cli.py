@@ -185,8 +185,10 @@ def test_verify_passes_and_reports_the_partition(tmp_path, capsys):
     assert "partition min=0.5" in out
     assert "theta_bound=0.5" in out
     assert "FAIL" not in out
+    assert "frames_resolution=1024" in out.splitlines()
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["partition"]["min"] == pytest.approx(0.5, abs=1e-12)
+    assert report["frames_resolution"] == 1024
     assert {"symbol", "cascade", "frames"} <= set(report["suites"])
 
 
@@ -219,10 +221,39 @@ def test_verify_writes_its_report_when_a_suite_raises(tmp_path, capsys):
     assert "exceeds 1 for z=1.0 ell=1" in entry["error"]
 
 
+@pytest.mark.parametrize("signals", ["0", "-1"])
+def test_verify_without_test_signals_reports_a_frames_error(tmp_path, capsys, signals):
+    rc, out, err = run(["verify", "--z", "2", "--ell", "1", "--signals", signals], tmp_path, capsys)
+    assert rc == 2
+    assert f"the frames suite needs at least 1 test signal, got {signals}" in err
+    assert "frames_resolution=None" in out.splitlines()
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["frames_resolution"] is None
+    assert len(report["suites"]["cascade"]) == 6
+    (entry,) = report["suites"]["frames"]
+    assert entry["name"] == "error" and entry["passed"] is False
+
+
 def test_verify_passes_for_a_shifted_order(tmp_path, capsys):
     rc, out, _ = run(["verify", "--z", "2", "--ell", "1", "--shift", "0.5", "--signals", "2"], tmp_path, capsys)
     assert rc == 0
     assert "FAIL" not in out
+    assert "frames_resolution=1024" in out.splitlines()
+
+
+def test_verify_sizes_the_bank_up_to_the_cap(tmp_path, capsys):
+    # band 0 of (1.044+8.21i, 0) needs a tap radius near 40,000 for eps 1e-10
+    rc, out, _ = run(["verify", "--z", "1.044+8.21i", "--ell", "0", "--signals", "2"], tmp_path, capsys)
+    assert rc == 0
+    assert "FAIL" not in out
+    assert json.loads((tmp_path / "verify_report.json").read_text())["frames_resolution"] == 2**18
+
+
+def test_verify_past_the_cap_is_a_tolerance_error(tmp_path, capsys):
+    rc, out, err = run(["verify", "--z", "1+50i", "--ell", "0", "--signals", "2"], tmp_path, capsys)
+    assert rc == 4
+    assert "the automatic bank grid stops at 2^18 = 262144 points" in err
+    assert "FAIL frames.error: band 0: discarded-tail norm" in out
 
 
 @pytest.mark.parametrize("command, z, ell", [("verify", "200", "0"), ("framelets", "200", "0"), ("verify", "150", "30")])
@@ -293,6 +324,7 @@ def test_sweep_aggregates_orders(tmp_path, capsys):
     assert report["orders"][0]["theta"] == pytest.approx(0.5)
     for entry in report["orders"]:
         assert entry["uep_diagonal_error"] < 1e-10
+        assert entry["frames_resolution"] == 512
     assert out.count("theta=") == 2
 
 

@@ -18,7 +18,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from pseudosplines import frames
 from pseudosplines.analysis import lowpass_condition
 from pseudosplines.cascade import Profile, run_cascade, to_time_domain
-from pseudosplines.checks import default_bank_resolution
 from pseudosplines.errors import (
     ConsistencyError,
     DomainError,
@@ -33,8 +32,8 @@ from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, max_ell, sample_H
 
 def make_bank(z, ell, shift=0.0, resolution=None, eps=1e-10):
     order = PseudoSplineOrder(z, ell, shift=shift)
-    res = default_bank_resolution(order) if resolution is None else resolution
-    return frames.build_bank(order, TorusGrid(res), truncation_eps=eps)
+    grid = None if resolution is None else TorusGrid(resolution)
+    return frames.build_bank(order, grid, truncation_eps=eps)
 
 
 BANK_1_0 = make_bank(1.0, 0, resolution=1024)
@@ -256,6 +255,15 @@ def test_taps_stop_at_a_quarter_of_the_grid():
     # the (1.5, 0) tails decay like k^-5: at N = 256 the radius 64 leaves 6.2e-08
     with pytest.raises(ToleranceError, match=r"band 0: discarded-tail norm 6\.200e-08 at \|k\| <= 64 "):
         frames.build_bank(BANK_15_0.order, TorusGrid(256))
+
+
+def test_a_shift_past_the_automatic_grid_cap_raises_before_sampling(monkeypatch):
+    def sample_bank(*args):
+        raise AssertionError("sample_bank was called")
+
+    monkeypatch.setattr(frames, "sample_bank", sample_bank)
+    with pytest.raises(ToleranceError, match=r"\|u\| = 1e\+06; the automatic bank grid stops at 2\^18 = 262144 points"):
+        frames.build_bank(PseudoSplineOrder(2.0, 1, shift=1e6))
 
 
 # ---------------------------------------------------------------- framelets
