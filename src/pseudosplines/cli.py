@@ -342,22 +342,30 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
+    """One entry per order; an order that raises gets an `error` entry, and
+    the first error is raised once the report is written, as in verify."""
     orders = _parse_orders(ns.orders)
-    entries = []
+    entries, errors = [], []
     for order in orders:
-        grid = TorusGrid(int(ns.grid))
-        ext = partition_extrema(order, grid)
-        theta = theta_bound(order)
-        frames_grid = None if ns.frames_grid is None else TorusGrid(int(ns.frames_grid))
-        bank = frames.build_bank(order, frames_grid, truncation_eps=float(ns.eps))
-        uep_diag, uep_off = frames.uep_errors(bank)
-        report = full_report(
-            order,
-            with_fits=bool(ns.with_fits),
-            levels=int(ns.levels),
-            window=float(ns.window),
-            step=_to_step(ns.step),
-        )
+        try:
+            grid = TorusGrid(int(ns.grid))
+            ext = partition_extrema(order, grid)
+            theta = theta_bound(order)
+            frames_grid = None if ns.frames_grid is None else TorusGrid(int(ns.frames_grid))
+            bank = frames.build_bank(order, frames_grid, truncation_eps=float(ns.eps))
+            uep_diag, uep_off = frames.uep_errors(bank)
+            report = full_report(
+                order,
+                with_fits=bool(ns.with_fits),
+                levels=int(ns.levels),
+                window=float(ns.window),
+                step=_to_step(ns.step),
+            )
+        except PseudoSplineError as exc:
+            errors.append(exc)
+            entries.append({"label": order.label(), "order": order_to_dict(order), "error": str(exc)})
+            sys.stdout.write(f"{order.label()}: error: {exc}\n")
+            continue
         entries.append(
             {
                 "label": order.label(),
@@ -380,6 +388,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     path = os.path.join(_outdir(ns), "sweep_report.json")
     write_json(path, {"orders": entries})
     _emit(path)
+    if errors:
+        raise errors[0]
     return 0
 
 

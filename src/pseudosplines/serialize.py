@@ -64,20 +64,37 @@ def write_samples_csv(path, axis_name: str, axis: Sequence[float], values) -> No
     ``np.hypot`` of the two parts, the libm ``hypot`` that Python's abs of a
     complex value calls, so the digits are Python's; ``np.abs`` differs in
     the last digit for some values, which would change the bytes written.
+
+    A row at axis value ``a < 0`` whose chunk holds a partner row at ``-a``
+    with the same ``re`` and ``im`` bits is written as ``"-"`` plus the
+    partner's text, since ``repr(-a) == "-" + repr(a)`` for ``a > 0``; the
+    bytes are the same as formatting the row itself.  Partners are looked
+    up by one searchsorted, so an increasing axis finds all of them (an even
+    series on a symmetric grid formats half its rows) and any other order
+    fewer.
     """
     axis = np.asarray(axis, dtype=float)
     values = np.asarray(values, dtype=complex)
     with open(path, "w", newline="") as fh:
         fh.write(f"{axis_name},re,im,abs\n")
-        for start in range(0, min(len(axis), len(values)), CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
-            block = values[start:stop]
+        rows = min(len(axis), len(values))
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, rows)
+            t, block = axis[start:stop], values[start:stop]
             with np.errstate(over="ignore"):  # |v| beyond the largest double is inf, refused below
                 magnitude = np.hypot(block.real, block.imag)
-            columns = (axis[start:stop], block.real, block.imag, magnitude)
+            columns = (t, block.real, block.imag, magnitude)
             _require_finite(*columns)
-            columns = [column.tolist() for column in columns]
-            fh.write("".join(f"{t!r},{re!r},{im!r},{mag!r}\n" for t, re, im, mag in zip(*columns)))
+            partner = np.minimum(np.searchsorted(t, -t), len(t) - 1)
+            mirror = (t < 0) & (t[partner] == -t)
+            for part in (block.real.view(np.int64), block.imag.view(np.int64)):
+                mirror &= part[partner] == part
+            keep = ~mirror
+            lines = np.empty(len(t), dtype=object)
+            kept = (column[keep].tolist() for column in columns)
+            lines[keep] = [f"{a!r},{re!r},{im!r},{mag!r}\n" for a, re, im, mag in zip(*kept)]
+            lines[mirror] = "-" + lines[partner[mirror]]  # elementwise on an object array
+            fh.write("".join(lines))
 
 
 def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -328,6 +328,25 @@ def test_sweep_aggregates_orders(tmp_path, capsys):
     assert out.count("theta=") == 2
 
 
+def test_sweep_reports_an_order_that_raises_and_keeps_the_others(tmp_path, capsys):
+    rc, out, err = run(["sweep", "--orders", "1,0;1+50i,0"], tmp_path, capsys)
+    assert rc == 4
+    message = err.removeprefix("error: ").rstrip("\n")
+    assert message.endswith("the automatic bank grid stops at 2^18 = 262144 points")
+    lines = out.splitlines()
+    assert lines[0].startswith("z=1.0 ell=0: theta=0.5 ")
+    assert lines[1] == f"z=1.0+50.0i ell=0: error: {message}"
+    first, failed = json.loads((tmp_path / "sweep_report.json").read_text())["orders"]
+    assert failed == {
+        "label": "z=1.0+50.0i ell=0",
+        "order": {"z_re": 1.0, "z_im": 50.0, "ell": 0, "u": 0.0},
+        "error": message,
+    }
+    rc, _, _ = run(["sweep", "--orders", "1,0"], tmp_path / "alone", capsys)
+    assert rc == 0
+    assert [first] == json.loads((tmp_path / "alone" / "sweep_report.json").read_text())["orders"]
+
+
 # ---------------------------------------------------------------- transform
 
 

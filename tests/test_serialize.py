@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pseudosplines import cli
+from pseudosplines.cascade import run_cascade
 from pseudosplines.errors import DomainError
 from pseudosplines.serialize import (
     CSV_CHUNK_ROWS,
@@ -19,7 +21,7 @@ from pseudosplines.serialize import (
     write_json,
     write_samples_csv,
 )
-from pseudosplines.symbol import PseudoSplineOrder
+from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, sample_H0
 
 
 @settings(deadline=None, max_examples=300)
@@ -68,11 +70,102 @@ def test_samples_csv_matches_per_row_format_float(tmp_path):
     axis = np.arange(len(values)) / 64 - 0.5
     path = tmp_path / "bulk.csv"
     write_samples_csv(path, "gamma", axis, values)
+    assert path.read_text() == per_row_text(axis, values)
+
+
+def per_row_text(axis, values) -> str:
+    """The sample CSV text formatted row by row with format_float."""
     rows = [
         ",".join(format_float(x) for x in (t, complex(v).real, complex(v).imag, abs(v)))
         for t, v in zip(axis, values)
     ]
-    assert path.read_text() == "gamma,re,im,abs\n" + "".join(row + "\n" for row in rows)
+    return "gamma,re,im,abs\n" + "".join(row + "\n" for row in rows)
+
+
+def complex_from_parts(re, im) -> np.ndarray:
+    """Complex values with exactly these parts; re + 1j*im loses -0.0."""
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    return values
+
+
+def even_series(half_rows: int, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """Axis k/64 for |k| <= half_rows and values with v(-a) == v(a) bit for bit."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, half_rows + 1)) * 10.0 ** rng.integers(-300, 300, (2, half_rows + 1))
+    half = complex_from_parts(*parts)
+    return np.arange(-half_rows, half_rows + 1) / 64, np.concatenate([half[:0:-1], half])
+
+
+def strided_even_series() -> tuple[np.ndarray, np.ndarray]:
+    axis, values = even_series(200)
+    interleaved = np.empty(2 * len(values), dtype=complex)
+    interleaved[::2], interleaved[1::2] = values, -values
+    return axis, interleaved[::2]
+
+
+def odd_series() -> tuple[np.ndarray, np.ndarray]:
+    axis, values = even_series(200)
+    return axis, np.where(axis < 0, -values, values)
+
+
+def shuffled_even_series() -> tuple[np.ndarray, np.ndarray]:
+    axis, values = even_series(200)
+    order = np.random.default_rng(9).permutation(len(axis))
+    return axis[order], values[order]
+
+
+MIRROR_CASES = {
+    # the first chunk ends at k = CSV_CHUNK_ROWS // 4 - 1, so pairs with a
+    # larger |k| have their partner in the next chunk
+    "even_across_chunks": lambda: even_series(3 * CSV_CHUNK_ROWS // 4),
+    "signed_zeros": lambda: (
+        np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]),
+        complex_from_parts([0.0, 1.0, -0.0, 0.0, 1.0, 0.0], [-0.0, 0.0, 0.0, 0.0, -0.0, 0.0]),
+    ),
+    "odd": odd_series,
+    "reversed": lambda: tuple(column[::-1] for column in even_series(200)),
+    "shuffled": shuffled_even_series,
+    "zero_axis": lambda: (np.array([-0.5, -0.0, 0.0, 0.5]), np.full(4, 0.25 - 0.0j)),
+    "strided": strided_even_series,
+}
+
+
+@pytest.mark.parametrize("case", MIRROR_CASES)
+def test_mirrored_rows_match_per_row_format_float(tmp_path, case):
+    axis, values = MIRROR_CASES[case]()
+    path = tmp_path / "mirror.csv"
+    write_samples_csv(path, "gamma", axis, values)
+    assert path.read_text() == per_row_text(axis, values)
+
+
+def bits(values: np.ndarray) -> list[int]:
+    return np.concatenate([values.real, values.imag]).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "z, ell",
+    [("3.2+1i", 0), ("3.2+1i", 1), ("3.2+1i", 2), ("3.2+1i", 3), ("1.044+8.21i", 0), ("4.2", 2)],
+)
+def test_figure_series_are_even_bit_for_bit(tmp_path, capsys, z, ell):
+    # write_samples_csv formats half the rows of an even series; the output
+    # does not depend on this, so only this test shows the evenness is lost
+    order = PseudoSplineOrder(complex(z.replace("i", "j")), ell)
+    profile, _ = run_cascade(order)
+    assert bits(profile.values) == bits(profile.values[::-1])
+    assert profile.points.tolist() == (-profile.points[::-1]).tolist()
+    grid = TorusGrid(1024)
+    rows = sample_H0(order, grid).values[1:]
+    assert bits(rows) == bits(rows[::-1])
+    assert grid.gamma[1:].tolist() == (-grid.gamma[:0:-1]).tolist()
+
+    assert cli.main(["cascade", "--z", z, "--ell", str(ell), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "cascade_phihat.csv").read_text().splitlines()[1:]
+    by_axis = {line.split(",", 1)[0]: line for line in lines}
+    negative = [line for line in lines if line.startswith("-")]
+    assert len(negative) == len(lines) // 2
+    assert all(by_axis[line.split(",", 1)[0][1:]] == line[1:] for line in negative)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, -math.inf), 1.7e308 + 1.7e308j])
@@ -164,9 +257,11 @@ def test_read_samples_csv_skips_blank_lines_and_keeps_signs_and_extremes(tmp_pat
 @settings(deadline=None, max_examples=50)
 @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=20))
+@example([(1.8941775056029057e300, 1.7976931348623157e308)])  # np.abs rounds |v| to finite, hypot overflows
 def test_read_samples_csv_restores_written_values_bit_for_bit(tmp_path_factory, pairs):
     values = np.array([complex(re, im) for re, im in pairs])
-    finite = np.isfinite(np.abs(values))
+    with np.errstate(over="ignore"):  # the writer's |v|, which it refuses past the largest double
+        finite = np.isfinite(np.hypot(values.real, values.imag))
     values = values[finite] if finite.any() else np.array([0j])
     path = tmp_path_factory.mktemp("csv") / "values.csv"
     write_samples_csv(path, "index", np.arange(len(values)), values)
