@@ -4,6 +4,12 @@ Subcommands: filter, cascade, framelets, transform, verify, analyze, sweep.
 All file output is byte-deterministic: floats are written with repr, JSON
 keys are sorted, and nothing records timestamps or hostnames.
 
+A --config file holds a JSON object keyed by option dest (time_half_width
+for --time-half-width). A flag takes true (its bare option) or false (no
+token), any other option a string or number (--opt=value). These tokens go
+before the command line's, so each meets its option's type and the command
+line wins. Keys that only other commands have are skipped.
+
 Exit codes: 0 success, 1 I/O failure, 2 invalid configuration or order
 parameters, 3 verification failure, 4 unattainable tolerance.
 """
@@ -51,44 +57,31 @@ DEFAULT_SWEEP = (
 )
 
 
-def _to_complex(value) -> complex:
-    """Accept 'a+bi' strings (also plain reals) and numeric config values, not booleans."""
-    if isinstance(value, bool):
-        raise DomainError(f"cannot parse complex order {value!r}; expected e.g. 3.2+1i")
-    if isinstance(value, complex):
-        return value
-    if isinstance(value, (int, float)):
-        return complex(float(value))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, str):
-        text = value.strip().replace(" ", "")
-        if text.endswith("i"):
-            text = text[:-1] + "j"
-        try:
-            return complex(text)
-        except ValueError:
-            raise DomainError(f"cannot parse complex order {value!r}; expected e.g. 3.2+1i") from None
-    raise DomainError(f"cannot parse complex order {value!r}")
+def _to_complex(value: str) -> complex:
+    """Accept 'a+bi' strings, also plain reals."""
+    text = value.strip().replace(" ", "")
+    if text.endswith("i"):
+        text = text[:-1] + "j"
+    try:
+        return complex(text)
+    except ValueError:
+        raise DomainError(f"cannot parse complex order {value!r}; expected e.g. 3.2+1i") from None
 
 
-def _to_step(value) -> float:
+def _to_step(value: str) -> float:
     """Grid steps are given as fractions like 1/64 (or plain floats)."""
-    if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            try:
-                step = float(num) / float(den)
-            except (ValueError, ZeroDivisionError):
-                raise DomainError(f"cannot parse step {value!r}") from None
-        else:
-            try:
-                step = float(text)
-            except ValueError:
-                raise DomainError(f"cannot parse step {value!r}") from None
+    text = value.strip()
+    if "/" in text:
+        num, den = text.split("/", 1)
+        try:
+            step = float(num) / float(den)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"cannot parse step {value!r}") from None
     else:
-        step = float(value)
+        try:
+            step = float(text)
+        except ValueError:
+            raise DomainError(f"cannot parse step {value!r}") from None
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {value!r}")
     return step
@@ -97,7 +90,7 @@ def _to_step(value) -> float:
 def _order_from_args(ns: argparse.Namespace) -> PseudoSplineOrder:
     if ns.z is None:
         raise DomainError("the order parameter z is required (--z or config key 'z')")
-    return PseudoSplineOrder(z=_to_complex(ns.z), ell=int(ns.ell), shift=float(ns.shift))
+    return PseudoSplineOrder(z=_to_complex(ns.z), ell=ns.ell, shift=ns.shift)
 
 
 def _outdir(ns: argparse.Namespace) -> str:
@@ -117,9 +110,9 @@ def _write_series(ns, stem: str, axis_name: str, axis, values) -> None:
     _emit(path)
 
 
-def _parse_bands(text) -> list[int]:
+def _parse_bands(text: str) -> list[int]:
     try:
-        bands = sorted({int(tok) for tok in str(text).split(",") if tok.strip() != ""})
+        bands = sorted({int(tok) for tok in text.split(",") if tok.strip() != ""})
     except ValueError:
         raise DomainError(f"cannot parse band list {text!r}; expected e.g. 0,1,2,3") from None
     if not bands or any(b not in (0, 1, 2, 3) for b in bands):
@@ -129,7 +122,7 @@ def _parse_bands(text) -> list[int]:
 
 def _parse_orders(text: str) -> list[PseudoSplineOrder]:
     orders = []
-    for token in str(text).split(";"):
+    for token in text.split(";"):
         token = token.strip()
         if not token:
             continue
@@ -155,7 +148,7 @@ def _json_value(x: float):
 
 def cmd_filter(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
-    grid = TorusGrid(int(ns.grid))
+    grid = TorusGrid(ns.grid)
     bands = _parse_bands(ns.bands)
     symbols = {0: sample_H0(order, grid)} if bands == [0] else frames.sample_bank(order, grid)
     for band in bands:
@@ -168,10 +161,10 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
     step = _to_step(ns.step)
     profile, diag = run_cascade(
         order,
-        levels=int(ns.levels),
-        window=float(ns.window),
+        levels=ns.levels,
+        window=ns.window,
         step=step,
-        sup_tolerance=float(ns.sup_tolerance),
+        sup_tolerance=ns.sup_tolerance,
     )
     _write_series(ns, "cascade_phihat", "gamma", profile.points, profile.values)
     outdir = _outdir(ns)
@@ -182,9 +175,9 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
     if ns.time_half_width is not None:
         tp = to_time_domain(
             profile,
-            half_width=float(ns.time_half_width),
+            half_width=ns.time_half_width,
             step=_to_step(ns.dt),
-            tolerance=float(ns.time_tolerance),
+            tolerance=ns.time_tolerance,
         )
         _write_series(ns, "cascade_phi_time", "t", tp.points, tp.values)
         sys.stdout.write(f"tail_estimate={format_float(tp.tail_estimate)}\n")
@@ -193,7 +186,7 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
 
 def cmd_framelets(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
-    bank = frames.build_bank(order, TorusGrid(int(ns.grid)), truncation_eps=float(ns.eps))
+    bank = frames.build_bank(order, TorusGrid(ns.grid), truncation_eps=ns.eps)
     outdir = _outdir(ns)
     bank_path = os.path.join(outdir, "bank.json")
     write_json(bank_path, frames.bank_to_dict(bank))
@@ -210,13 +203,13 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
         step = _to_step(ns.step)
         profile, _ = run_cascade(
             order,
-            levels=int(ns.levels),
-            window=float(ns.window),
+            levels=ns.levels,
+            window=ns.window,
             step=step,
-            sup_tolerance=float(ns.sup_tolerance),
+            sup_tolerance=ns.sup_tolerance,
         )
     if ns.with_hats:
-        w = float(ns.psi_window)
+        w = ns.psi_window
         count = int(round(w / step))
         gammas = (np.arange(2 * count + 1) - count) * step
         for n in (1, 2, 3):
@@ -225,9 +218,9 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
     if ns.with_time:
         phi = to_time_domain(
             profile,
-            half_width=float(ns.time_half_width),
+            half_width=ns.time_half_width,
             step=_to_step(ns.dt),
-            tolerance=float(ns.time_tolerance),
+            tolerance=ns.time_tolerance,
         )
         for n in (1, 2, 3):
             psi = frames.framelet_time(bank, phi, n)
@@ -242,7 +235,7 @@ def cmd_transform(ns: argparse.Namespace) -> int:
     bank = frames.bank_from_dict(load_json(ns.bank))
     _, values = read_samples_csv(ns.input)
     signal = frames.PeriodicSignal(values)
-    levels = int(ns.levels)
+    levels = ns.levels
     details, approx = frames.analyze_multilevel(bank, signal, levels)
     series = {"subband_n0" if levels == 1 else "subband_approx": approx}
     for level, level_details in enumerate(details, start=1):
@@ -261,18 +254,18 @@ def cmd_transform(ns: argparse.Namespace) -> int:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
-    ext = partition_extrema(order, TorusGrid(int(ns.grid)))
+    ext = partition_extrema(order, TorusGrid(ns.grid))
     results, frames_resolution = run_all(
         order,
-        symbol_resolution=int(ns.grid),
-        frames_resolution=None if ns.frames_grid is None else int(ns.frames_grid),
-        levels=int(ns.levels),
-        window=float(ns.window),
+        symbol_resolution=ns.grid,
+        frames_resolution=ns.frames_grid,
+        levels=ns.levels,
+        window=ns.window,
         step=_to_step(ns.step),
-        truncation_eps=float(ns.eps),
-        signals=int(ns.signals),
-        signal_length=int(ns.signal_length),
-        seed=int(ns.seed),
+        truncation_eps=ns.eps,
+        signals=ns.signals,
+        signal_length=ns.signal_length,
+        seed=ns.seed,
         extrema=ext,
     )
     theta = theta_bound(order)
@@ -328,8 +321,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     report = full_report(
         order,
         with_fits=not ns.no_fits,
-        levels=int(ns.levels),
-        window=float(ns.window),
+        levels=ns.levels,
+        window=ns.window,
         step=_to_step(ns.step),
     )
     text = dump_json(report.to_dict())
@@ -348,17 +341,17 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     entries, errors = [], []
     for order in orders:
         try:
-            grid = TorusGrid(int(ns.grid))
+            grid = TorusGrid(ns.grid)
             ext = partition_extrema(order, grid)
             theta = theta_bound(order)
-            frames_grid = None if ns.frames_grid is None else TorusGrid(int(ns.frames_grid))
-            bank = frames.build_bank(order, frames_grid, truncation_eps=float(ns.eps))
+            frames_grid = None if ns.frames_grid is None else TorusGrid(ns.frames_grid)
+            bank = frames.build_bank(order, frames_grid, truncation_eps=ns.eps)
             uep_diag, uep_off = frames.uep_errors(bank)
             report = full_report(
                 order,
-                with_fits=bool(ns.with_fits),
-                levels=int(ns.levels),
-                window=float(ns.window),
+                with_fits=ns.with_fits,
+                levels=ns.levels,
+                window=ns.window,
                 step=_to_step(ns.step),
             )
         except PseudoSplineError as exc:
@@ -394,7 +387,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=None, help="JSON file of defaults for this command")
+    sub.add_argument("--config", default=None, help="JSON object of option values by dest; the command line wins")
     sub.add_argument("--out", default=None, help="output directory (default: $PSEUDOSPLINES_OUTDIR or .)")
 
 
@@ -491,37 +484,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 @functools.lru_cache(maxsize=1)
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of every call without --config, built once per process.
-
-    parse_args leaves a parser unchanged, so calls can share it; a --config
-    call changes subparser defaults and builds its own parser instead.
-    """
-    return build_parser()[0]
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers, built once per process; parse_args
+    leaves them unchanged, so every call shares them."""
+    return build_parser()
 
 
-def _find_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                return None
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
-def _apply_config(subs: dict[str, argparse.ArgumentParser], path: str) -> None:
-    cfg = load_json(path)
-    known: set[str] = set()
-    for sub in subs.values():
-        known.update(a.dest for a in sub._actions)
-    unknown = sorted(set(cfg) - known)
+def _config_tokens(cfg: dict, subs: dict[str, argparse.ArgumentParser], command: str) -> list[str]:
+    """The option tokens that a config object stands for in `command`."""
+    unknown = sorted(set(cfg) - {a.dest for sub in subs.values() for a in sub._actions})
     if unknown:
         raise DomainError(f"unknown config keys: {', '.join(unknown)}")
-    for sub in subs.values():
-        dests = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
+    tokens = []
+    for action in subs[command]._actions:
+        if action.dest not in cfg:
+            continue
+        value, option, flag = cfg[action.dest], action.option_strings[-1], action.nargs == 0
+        if isinstance(value, bool) != flag or not isinstance(value, (str, int, float)):
+            kind = "true or false" if flag else "a string or number"
+            raise DomainError(f"config key {action.dest!r} takes {kind}, not {value!r}")
+        if not flag:
+            tokens.append(f"{option}={value}")
+        elif value:
+            tokens.append(option)
+    return tokens
 
 
 def _fail(exc: BaseException, code: int) -> int:
@@ -531,23 +517,15 @@ def _fail(exc: BaseException, code: int) -> int:
 
 def main(argv=None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
-    config_path = _find_config_path(args)
-    if config_path is None:
-        parser = _shared_parser()
-    else:
-        parser, subs = build_parser()
-        try:
-            _apply_config(subs, config_path)
-        except OSError as exc:
-            return _fail(exc, 1)
-        except PseudoSplineError as exc:
-            return _fail(exc, 2)
+    parser, subs = _shared_parser()
     ns = parser.parse_args(args)
-    # looked up on each call, not stored in the shared parser, so that a
-    # command function replaced on this module is the one that runs
-    command = globals()[f"cmd_{ns.command}"]
     try:
-        return command(ns)
+        if ns.config is not None:
+            tokens = _config_tokens(load_json(ns.config), subs, ns.command)
+            ns = parser.parse_args([args[0], *tokens, *args[1:]])
+        # looked up on each call, not stored in the shared parser, so that a
+        # command function replaced on this module is the one that runs
+        return globals()[f"cmd_{ns.command}"](ns)
     except ToleranceError as exc:
         return _fail(exc, 4)
     except (VerificationFailure, ConsistencyError, ConditionError) as exc:

@@ -557,6 +557,76 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "elll" in err
 
 
+@pytest.mark.parametrize("option", ["--conf {}", "--con={}"])
+def test_an_abbreviated_config_option_reads_the_file(tmp_path, capsys, option):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"grid": 256}))
+    assert run(["filter", "--z", "2", *option.format(config).split()], tmp_path, capsys)[0] == 0
+    assert len((tmp_path / "filter_h0.csv").read_text().splitlines()) == 257
+
+
+@pytest.mark.parametrize(
+    "command, values, named",
+    [
+        ("filter", {"z": 2, "ell": 1.9}, "--ell: invalid int value: '1.9'"),
+        ("filter", {"z": 2, "grid": 64.9}, "--grid: invalid int value: '64.9'"),
+        ("cascade", {"z": 2, "levels": 2.7}, "--levels: invalid int value: '2.7'"),
+    ],
+)
+def test_a_config_value_meets_its_option_type(tmp_path, capsys, command, values, named):
+    (tmp_path / "run.json").write_text(json.dumps(values))
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", str(tmp_path / "run.json")], tmp_path, capsys)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+def _options(values: dict) -> list[str]:
+    """The command-line spelling of config values: --opt value, a bare flag for true."""
+    argv = []
+    for key, value in values.items():
+        option = "--" + key.replace("_", "-")
+        argv += [option] if value is True else [] if value is False else [option, str(value)]
+    return argv
+
+
+CASCADE = {"levels": 12, "window": 16, "step": "1/32"}
+# per command: the config values, then the command-line options that override some of them
+PARITY = {
+    "filter": ({"z": "3.2+1i", "ell": 2, "shift": -0.5, "grid": 256, "bands": "0,1,2,3"}, {"grid": 64}),
+    "cascade": ({"z": "2", "ell": 1, "shift": -0.5, **CASCADE, "time_half_width": 4, "dt": "1/16",
+                 "time_tolerance": 1e-2}, {"time_half_width": 2}),
+    "framelets": ({"z": "2", "ell": 1, "shift": -0.5, **CASCADE, "grid": 256, "with_hats": True,
+                   "eps": 1e-8, "psi_window": 2, "with_time": False}, {"psi_window": 1}),
+    "transform": ({"bank": "bank.json", "input": "signal.csv", "levels": 2, "roundtrip": True},
+                  {"levels": 1}),
+    "verify": ({"z": "2", "ell": 1, "shift": -0.5, **CASCADE, "grid": 256, "signals": 2,
+                "signal_length": 64, "seed": 5}, {"seed": 3}),
+    "analyze": ({"z": "2", "ell": 1, "shift": -0.5, **CASCADE, "no_fits": True}, {"ell": 0}),
+    "sweep": ({"orders": "2,1,-0.5;3.2+1i,0", **CASCADE, "grid": 256, "with_fits": False},
+              {"orders": "2,1,-0.5"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARITY))
+def test_a_config_file_gives_what_the_same_options_give(tmp_path, capsys, command):
+    values, override = PARITY[command]
+    (tmp_path / "bank.json").write_text(json.dumps(ONE_TAP_BANK))
+    write_samples_csv(tmp_path / "signal.csv", "index", np.arange(64), np.cos(np.arange(64)))
+    values = {k: str(tmp_path / v) if k in ("bank", "input") else v for k, v in values.items()}
+    (tmp_path / "run.json").write_text(json.dumps(values))
+    outputs = []
+    for name, argv in [
+        ("flags", _options({**values, **override})),
+        ("config", ["--config", str(tmp_path / "run.json"), *_options(override)]),
+    ]:
+        rc, out, err = run([command, *argv], tmp_path / name, capsys)
+        assert rc == 0, err
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        outputs.append((out.replace(str(tmp_path / name), "<out>"), files))
+    assert outputs[0][1] and outputs[0] == outputs[1]
+
+
 def test_environment_variable_sets_the_output_directory(tmp_path, capsys, monkeypatch):
     outdir = tmp_path / "from_env"
     outdir.mkdir()
@@ -638,10 +708,16 @@ TRANSFORM = ["transform", "--bank", "bank.json", "--input", "signal.csv"]
         (TRANSFORM, {"bank.json": json.dumps({**ONE_TAP_BANK, "coeffs": {
             n: {**c, "values": [[1.0]]} for n, c in ONE_TAP_BANK["coeffs"].items()}})}, "malformed bank JSON"),
         (["filter", "--config", "run.json"], {"run.json": '{"z": true}'}, "True"),
+        (["filter", "--config", "run.json"], {"run.json": '{"z": 2, "ell": true}'}, "'ell' takes a string"),
+        (["analyze", "--config", "run.json"], {"run.json": '{"z": 2, "no_fits": "false"}'},
+         "'no_fits' takes true or false, not 'false'"),
+        (["filter", "--config", "run.json"], {"run.json": '{"z": [3.2, 1]}'}, "'z' takes a string"),
+        (["verify", "--config", "run.json"], {"run.json": '{"z": 2, "frames_grid": null}'},
+         "'frames_grid' takes a string or number, not None"),
     ],
     ids=["z-ell-token", "shift-token", "fractional-ell", "csv-row", "invalid-json",
          "json-list", "bank-without-coeffs", "bank-without-order", "coeffs-list", "one-part-value",
-         "boolean-z"],
+         "boolean-z", "boolean-ell", "string-flag", "list-z", "null-frames-grid"],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, files, named):
     for name, text in files.items():
