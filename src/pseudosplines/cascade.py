@@ -118,9 +118,13 @@ class CascadeDiagnostics:
         }
 
 
+def _positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0.0
+
+
 def _grid(window: float, step: float) -> np.ndarray:
-    if window <= 0.0 or step <= 0.0:
-        raise WindowError(f"window and step must be positive, got {window!r}, {step!r}")
+    if not (_positive(window) and _positive(step)):
+        raise WindowError(f"window and step must be finite and positive, got {window!r}, {step!r}")
     ratio = window / step
     m = int(round(ratio))
     if m < 1 or abs(ratio - m) > 1e-9:
@@ -173,6 +177,8 @@ def run_cascade(
     """
     if not isinstance(levels, (int, np.integer)) or levels < 1:
         raise DomainError(f"levels must be an integer >= 1, got {levels!r}")
+    if not (math.isfinite(sup_tolerance) and sup_tolerance >= 0.0):
+        raise DomainError(f"sup_tolerance must be finite and >= 0, got {sup_tolerance!r}")
     g = _grid(window, step)
     half = g[(len(g) - 1) // 2 :]
     extent = float(half[-1])
@@ -324,12 +330,15 @@ def to_time_domain(
 
     The spectrum outside the window is dropped; the induced absolute error
     is estimated from the envelope decay of |phi_hat| and must not exceed
-    `tolerance`, otherwise a ToleranceError asks for a wider window.
+    `tolerance`, otherwise a ToleranceError asks for a wider window; a
+    negative or non-finite tolerance raises DomainError.
     1/(profile.step * step) must be an integer (1/64 and 1/32 give 2048),
     otherwise fourier_to_time raises GridCompatibilityError.
     """
-    if half_width <= 0.0 or step <= 0.0:
-        raise WindowError(f"half_width and step must be positive, got {half_width!r}, {step!r}")
+    if not (_positive(half_width) and _positive(step)):
+        raise WindowError(f"half_width and step must be finite and positive, got {half_width!r}, {step!r}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     tail = _tail_estimate(profile)
     if tail > tolerance:
         raise ToleranceError(

@@ -198,24 +198,17 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
             f"tail_norm={format_float(c.tail_norm)} "
             f"aliasing={format_float(c.aliasing_estimate)}\n"
         )
-    profile = None
     if ns.with_hats or ns.with_time:
         step = _to_step(ns.step)
-        profile, _ = run_cascade(
-            order,
-            levels=ns.levels,
-            window=ns.window,
-            step=step,
-            sup_tolerance=ns.sup_tolerance,
-        )
+        cascade = functools.partial(run_cascade, order, levels=ns.levels, sup_tolerance=ns.sup_tolerance)
     if ns.with_hats:
-        w = ns.psi_window
-        count = int(round(w / step))
-        gammas = (np.arange(2 * count + 1) - count) * step
+        # phi_hat on the gamma/2 points of the psi_hat grid k * step, |k * step| <= psi_window
+        half, _ = cascade(window=ns.psi_window / 2.0, step=step / 2.0)
         for n in (1, 2, 3):
-            values = frames.framelet_hat(bank, profile, n, gammas)
-            _write_series(ns, f"framelet_psihat_n{n}", "gamma", gammas, values)
+            psi_hat = frames.framelet_hat(half, n)
+            _write_series(ns, f"framelet_psihat_n{n}", "gamma", psi_hat.points, psi_hat.values)
     if ns.with_time:
+        profile, _ = cascade(window=ns.window, step=step)
         phi = to_time_domain(
             profile,
             half_width=ns.time_half_width,

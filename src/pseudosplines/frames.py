@@ -56,7 +56,6 @@ from .errors import (
     GridCompatibilityError,
     ResolutionError,
     ToleranceError,
-    WindowError,
 )
 from .cascade import Profile
 from .symbol import (
@@ -68,6 +67,7 @@ from .symbol import (
     _as_array,
     _d_scaled,
     _p_taylor,
+    eval_H0,
     sample_H0,
 )
 
@@ -250,7 +250,8 @@ class FrameletBank:
     """The four sampled symbols H0..H3 with truncated filter coefficients.
 
     Banks loaded from JSON carry coefficients only (H is None); transforms
-    work either way, while sample-level operations require H.
+    and framelet_time work either way.  H serves only uep_errors and the
+    frames suite of checks.
     """
 
     order: PseudoSplineOrder
@@ -298,16 +299,17 @@ def sample_bank(order: PseudoSplineOrder, grid: TorusGrid) -> tuple[SampledSymbo
     """
     require_frame(order)
     h0 = sample_H0(order, grid)
-    sigma = eval_sigma(order, grid.gamma)
-    phase = np.exp(2j * np.pi * grid.gamma)
+    highs = _high_bands(order, grid.gamma, h0.half_shifted())
+    return (h0, *(SampledSymbol(order, grid, h) for h in highs))
+
+
+def _high_bands(order: PseudoSplineOrder, x: np.ndarray, h0_half: np.ndarray) -> tuple[np.ndarray, ...]:
+    """H1, H2, H3 at torus points x in [-1/2, 1/2), given H0 at the torus
+    points of x + 1/2 (the module docstring's formulas)."""
+    sigma = eval_sigma(order, x)
+    phase = np.exp(2j * np.pi * x)
     rt2 = math.sqrt(2.0)
-    h1 = phase * np.conj(h0.half_shifted())
-    return (
-        h0,
-        SampledSymbol(order, grid, h1),
-        SampledSymbol(order, grid, sigma / rt2),
-        SampledSymbol(order, grid, phase * sigma / rt2),
-    )
+    return phase * np.conj(h0_half), sigma / rt2, phase * sigma / rt2
 
 
 _GRID_CAP = 2**18
@@ -327,8 +329,11 @@ def build_bank(
     With grid None the grid is sized to the order: N starts at the least
     power of two >= 64 with N // 4 > |u| and doubles while a band's tail at
     N // 4 exceeds eps.  Past 2^18 points a ToleranceError names that cap,
-    before any sampling if |u| alone is past it.
+    before any sampling if |u| alone is past it.  A negative or non-finite
+    truncation_eps raises DomainError.
     """
+    if not (math.isfinite(truncation_eps) and truncation_eps >= 0.0):
+        raise DomainError(f"truncation eps must be finite and >= 0, got {truncation_eps!r}")
     if grid is not None:
         if grid.resolution < 64:
             raise ResolutionError(f"bank construction needs grid resolution >= 64, got {grid.resolution}")
@@ -345,39 +350,24 @@ def build_bank(
     return _bank_on(order, TorusGrid(n), truncation_eps, cap)
 
 
-def _interp_periodic(values: np.ndarray, resolution: int, gamma: np.ndarray) -> np.ndarray:
-    """Linear interpolation of grid samples, periodic in gamma with period 1."""
-    pos = ((gamma + 0.5) % 1.0) * resolution
-    i0 = np.floor(pos).astype(int) % resolution
-    frac = pos - np.floor(pos)
-    i1 = (i0 + 1) % resolution
-    return values[i0] * (1.0 - frac) + values[i1] * frac
+def framelet_hat(profile: Profile, n: int) -> Profile:
+    """psi_hat_n(gamma) = H_n(gamma/2) phi_hat(gamma/2), n in {1, 2, 3}, on 2 * profile.points.
 
-
-def framelet_hat(bank: FrameletBank, profile: Profile, n: int, gamma):
-    """psi_hat_n(gamma) = H_n(gamma/2) phi_hat(gamma/2), n in {1, 2, 3}.
-
-    Both factors are linearly interpolated on their grids (H_n periodically),
-    with O(step^2) interpolation error; grid-aligned arguments are exact.
+    `profile` is a phi_hat cascade run on the gamma/2 points themselves, so
+    nothing is interpolated.  H_n comes from the exact symbols at the torus
+    point of gamma/2, where sample_bank samples it, so on a grid that holds
+    gamma/2 both agree to rounding.  H1..H3 are evaluated once per profile
+    and kept on it for the other bands.
     """
     if n not in (1, 2, 3):
         raise DomainError(f"framelet index must be 1, 2 or 3, got {n!r}")
-    arr, scalar = _as_array(gamma)
-    half = arr / 2.0
-    if np.any(np.abs(half) > profile.half_width + 1e-12):
-        raise WindowError(
-            f"gamma/2 leaves the profile window [-{profile.half_width}, {profile.half_width}]"
-        )
-    hvals = _interp_periodic(bank.symbol(n).values, bank.grid.resolution, half)
-    pv = profile.values
-    mid = (len(pv) - 1) // 2
-    pos = np.clip(half / profile.step + mid, 0.0, len(pv) - 1.0)
-    i0 = np.floor(pos).astype(int)
-    i1 = np.minimum(i0 + 1, len(pv) - 1)
-    frac = pos - i0
-    phat = pv[i0] * (1.0 - frac) + pv[i1] * frac
-    out = hvals * phat
-    return complex(out[()]) if scalar else out
+    highs = profile.__dict__.get("_high_bands")
+    if highs is None:
+        # gamma/2 and gamma/2 + 1/2 reduced mod 1 into [-1/2, 1/2), where TorusGrid samples lie
+        x = (profile.points + 0.5) % 1.0 - 0.5
+        h0_half = eval_H0(profile.order, (x + 1.0) % 1.0 - 0.5)
+        highs = profile.__dict__["_high_bands"] = _high_bands(profile.order, x, h0_half)
+    return Profile(profile.order, 2.0 * profile.half_width, 2.0 * profile.step, highs[n - 1] * profile.values)
 
 
 def framelet_time(bank: FrameletBank, phi: Profile, n: int) -> Profile:

@@ -661,9 +661,11 @@ def test_series_files_hold_the_samples_the_library_builds(tmp_path, capsys):
         "cascade_phihat": (profile.points, profile.values),
         "cascade_phi_time": (phi.points, phi.values),
     }
-    gammas = (np.arange(257) - 128) / 64
+    half, _ = run_cascade(order, window=1.0, step=1 / 128)
     for n in (1, 2, 3):
-        expected[f"framelet_psihat_n{n}"] = (gammas, frames.framelet_hat(bank, profile, n, gammas))
+        psi_hat = frames.framelet_hat(half, n)
+        assert np.array_equal(psi_hat.points, (np.arange(257) - 128) / 64)
+        expected[f"framelet_psihat_n{n}"] = (psi_hat.points, psi_hat.values)
         psi = frames.framelet_time(bank, phi, n)
         expected[f"framelet_psi_n{n}"] = (psi.points, psi.values)
         assert f"psi_n{n} tail_estimate={psi.tail_estimate!r}\n" in out
@@ -671,6 +673,20 @@ def test_series_files_hold_the_samples_the_library_builds(tmp_path, capsys):
         got_axis, got = read_samples_csv(tmp_path / f"{stem}.csv")
         assert np.array_equal(got_axis, axis) and np.array_equal(got, values), stem
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv"] * 10 + [".json"] * 2
+
+
+def test_hats_alone_run_one_cascade_on_the_half_points(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def recording(order, **kwargs):
+        calls.append(kwargs)
+        return run_cascade(order, **kwargs)
+
+    monkeypatch.setattr(cli, "run_cascade", recording)
+    rc, _, err = run(["framelets", "--z", "1", "--grid", "64", "--with-hats", "--psi-window", "2",
+                      "--levels", "12", "--sup-tolerance", "1e-9"], tmp_path, capsys)
+    assert rc == 0, err
+    assert calls == [{"levels": 12, "sup_tolerance": 1e-9, "window": 1.0, "step": 1 / 128}]
 
 
 def test_framelets_tail_that_cannot_reach_eps_is_a_tolerance_error(tmp_path, capsys):
@@ -714,10 +730,26 @@ TRANSFORM = ["transform", "--bank", "bank.json", "--input", "signal.csv"]
         (["filter", "--config", "run.json"], {"run.json": '{"z": [3.2, 1]}'}, "'z' takes a string"),
         (["verify", "--config", "run.json"], {"run.json": '{"z": 2, "frames_grid": null}'},
          "'frames_grid' takes a string or number, not None"),
+        (["cascade", "--z", "2", "--window", "nan"], {}, "nan"),
+        (["cascade", "--z", "2", "--window", "inf"], {}, "inf"),
+        (["cascade", "--z", "2", "--time-half-width", "nan"], {}, "nan"),
+        (["cascade", "--z", "2", "--time-half-width", "inf"], {}, "inf"),
+        (["cascade", "--z", "2", "--sup-tolerance", "nan"], {}, "sup_tolerance must be finite and >= 0, got nan"),
+        (["cascade", "--z", "2", "--sup-tolerance", "-1"], {}, "sup_tolerance must be finite and >= 0, got -1.0"),
+        (["cascade", "--z", "2", "--time-half-width", "4", "--time-tolerance", "nan"], {},
+         "tolerance must be finite and >= 0, got nan"),
+        (["framelets", "--z", "1", "--grid", "64", "--with-hats", "--psi-window", "nan"], {}, "nan"),
+        (["framelets", "--z", "1", "--grid", "64", "--with-hats", "--psi-window", "2.001"], {},
+         "window must be an integer multiple of step"),
+        (["framelets", "--z", "1", "--grid", "64", "--eps", "nan"], {}, "eps must be finite and >= 0, got nan"),
+        (["framelets", "--z", "1", "--grid", "64", "--eps", "-1"], {}, "eps must be finite and >= 0, got -1.0"),
     ],
     ids=["z-ell-token", "shift-token", "fractional-ell", "csv-row", "invalid-json",
          "json-list", "bank-without-coeffs", "bank-without-order", "coeffs-list", "one-part-value",
-         "boolean-z", "boolean-ell", "string-flag", "list-z", "null-frames-grid"],
+         "boolean-z", "boolean-ell", "string-flag", "list-z", "null-frames-grid",
+         "nan-window", "inf-window", "nan-time-half-width", "inf-time-half-width", "nan-sup-tolerance",
+         "negative-sup-tolerance", "nan-time-tolerance", "nan-psi-window", "psi-window-off-step",
+         "nan-eps", "negative-eps"],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, files, named):
     for name, text in files.items():

@@ -24,7 +24,6 @@ from pseudosplines.errors import (
     GridCompatibilityError,
     ResolutionError,
     ToleranceError,
-    WindowError,
 )
 from pseudosplines.serialize import dump_json
 from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, max_ell, sample_H0, theta_bound
@@ -271,21 +270,31 @@ def test_a_shift_past_the_automatic_grid_cap_raises_before_sampling(monkeypatch)
 
 def test_framelet_hats_vanish_at_the_origin():
     profile, _ = run_cascade(PseudoSplineOrder(1.5, 0))
-    bank = BANK_15_0
     for n in (1, 2, 3):
-        assert abs(frames.framelet_hat(bank, profile, n, 0.0)) < 1e-12
+        assert abs(frames.framelet_hat(profile, n).value_at_zero()) < 1e-12
 
 
 def test_framelet_hat_value_for_the_linear_spline():
     profile, _ = run_cascade(PseudoSplineOrder(1.0, 0))
-    val = frames.framelet_hat(BANK_1_0, profile, 1, 1.0)
-    assert abs(val) == pytest.approx((2.0 / math.pi) ** 2, abs=1e-8)
+    psi_hat = frames.framelet_hat(profile, 1)
+    (at_one,) = np.nonzero(psi_hat.points == 1.0)[0]
+    assert abs(psi_hat.values[at_one]) == pytest.approx((2.0 / math.pi) ** 2, abs=1e-8)
 
 
-def test_framelet_hat_window_guard():
-    profile, _ = run_cascade(PseudoSplineOrder(1.0, 0), window=16.0, step=1.0 / 16)
-    with pytest.raises(WindowError):
-        frames.framelet_hat(BANK_1_0, profile, 1, 40.0)
+@pytest.mark.parametrize(
+    "z, ell, shift", [(3.2 + 1.0j, ell, 0.0) for ell in range(4)] + [(1.5, 0, 0.0), (2.0, 1, 0.5)]
+)
+def test_framelet_hats_are_the_sampled_symbols_times_phi_hat(z, ell, shift):
+    order = PseudoSplineOrder(z, ell, shift=shift)
+    half, _ = run_cascade(order, window=4.0, step=1.0 / 128)
+    symbols = frames.sample_bank(order, TorusGrid(8192))
+    # the grid index of the torus point of each gamma/2 = k / 128
+    index = np.round((half.points + 0.5) * 8192).astype(int) % 8192
+    for n in (1, 2, 3):
+        psi_hat = frames.framelet_hat(half, n)
+        expected = symbols[n].values[index] * half.values
+        assert np.array_equal(psi_hat.points, 2.0 * half.points)
+        assert np.max(np.abs(psi_hat.values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def exact_hat_profile(order, half_width=2.0, step=0.25):
@@ -312,10 +321,14 @@ def test_framelet_time_agrees_with_the_frequency_construction():
     # compare with the product-form frequency construction
     phi = exact_hat_profile(PseudoSplineOrder(1.0, 0), half_width=2.0, step=1.0 / 64)
     psi1 = frames.framelet_time(BANK_1_0, phi, 1)
-    profile, _ = run_cascade(PseudoSplineOrder(1.0, 0))
+    # every g / 2 below is a multiple of 1/80
+    half, _ = run_cascade(PseudoSplineOrder(1.0, 0), window=2.0, step=1.0 / 80)
+    psi_hat = frames.framelet_hat(half, 1)
     for g in (0.25, 0.5, 1.0, 1.7, 3.0):
         direct = np.sum(psi1.values * np.exp(-2j * np.pi * g * psi1.points)) * psi1.step
-        assert abs(direct - frames.framelet_hat(BANK_1_0, profile, 1, g)) < 2e-3
+        nearest = np.argmin(np.abs(psi_hat.points - g))
+        assert abs(psi_hat.points[nearest] - g) < 1e-12
+        assert abs(direct - psi_hat.values[nearest]) < 2e-3
 
 
 def test_framelet_time_means_vanish():
