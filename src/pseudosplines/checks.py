@@ -140,21 +140,24 @@ def run_frames_checks(
         raise DomainError(f"the frames suite needs at least 1 test signal, got {signals}")
     frames._require_length(signal_length)
     bank = frames.build_bank(order, None if resolution is None else TorusGrid(resolution), truncation_eps)
+    # the shipped taps: derived bands 1 and 3 cancel the off-diagonal sum, and
+    # the l1 tails bound the diagonal and the band sums (README, Conventions)
+    tails = [bank.coeffs[n].tail_l1 for n in range(4)]
     diag, off = frames.uep_errors(bank)
     results = [
-        CheckResult("uep_diagonal", diag, 1e-10),
-        CheckResult("uep_offdiagonal", off, 1e-10),
+        CheckResult("uep_diagonal", diag, sum(2.0 * t + t * t for t in tails) + 1e-13),
+        CheckResult("uep_offdiagonal", off, 1e-13),
     ]
 
-    sigma = math.sqrt(2.0) * bank.symbol(2).values
+    sigma = frames.eval_sigma(order, bank.grid.gamma)
     eta = np.asarray(frames.eval_eta(order, bank.grid.gamma))
     results.append(
         CheckResult("sigma_squared_equals_eta", float(np.max(np.abs(np.abs(sigma) ** 2 - eta))), 1e-12)
     )
 
-    zero_index = bank.grid.resolution // 2
-    moment = max(abs(complex(bank.symbol(n).values[zero_index])) for n in (1, 2, 3))
-    results.append(CheckResult("vanishing_moments", moment, 1e-12))
+    moments = [CheckResult("vanishing_moments", abs(complex(np.sum(bank.coeffs[n].values))), tails[n] + 1e-13)
+               for n in (1, 2, 3)]
+    results.append(min(moments, key=lambda r: r.margin))
 
     limit = max(1e-8, 10.0 * truncation_eps)
     # row i is standard_normal(n) + 1j * standard_normal(n), drawn in that

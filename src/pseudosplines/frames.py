@@ -42,7 +42,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -175,6 +175,7 @@ class FilterCoefficients:
     offset: int
     values: np.ndarray
     tail_norm: float
+    tail_l1: float
     aliasing_estimate: float
 
     def __post_init__(self) -> None:
@@ -203,19 +204,18 @@ class FilterCoefficients:
 def _coeffs_from_samples(band: int, values: np.ndarray, eps: float, remedy: str) -> FilterCoefficients:
     """Taps of one band's N samples within |k| <= N // 4, the cut past which
     aliasing_estimate measures the coefficient mass; `remedy` ends the
-    ToleranceError when no radius meets eps."""
+    ToleranceError when no radius meets eps.  tail_norm and tail_l1 are the
+    l2 and l1 norms of the dropped sampled coefficients."""
     n = len(values)
     cap = n // 4
     ks = np.arange(-n // 2, n // 2)
     c = np.fft.fftshift(np.fft.fft(values)) / n
     c = c * np.where(ks % 2 == 0, 1.0, -1.0)
     mass = np.abs(c) ** 2
-    by_absk = np.bincount(np.abs(ks), weights=mass, minlength=n // 2 + 1)
-    # suffix sums from the small end: tails[K] = mass at |k| > K, computed
-    # without subtracting near-equal totals (which would stall near
-    # sqrt(eps * total) ~ 1e-8 and defeat any tighter truncation eps)
-    suffix = np.cumsum(by_absk[::-1])[::-1]
-    tails = np.concatenate((suffix[1:], [0.0]))
+    # suffix sums from the small end: tails[K] is the mass and l1[K] the l1
+    # norm at |k| > K, computed without subtracting near-equal totals (which
+    # would stall near sqrt(eps * total) ~ 1e-8 and defeat any tighter eps)
+    tails, l1 = (np.cumsum(np.bincount(np.abs(ks), weights=w)[:0:-1])[::-1] for w in (mass, np.abs(c)))
     eligible = np.nonzero(tails[: cap + 1] <= eps * eps)[0]
     if len(eligible) == 0:
         raise ToleranceError(
@@ -241,49 +241,35 @@ def _coeffs_from_samples(band: int, values: np.ndarray, eps: float, remedy: str)
         offset=-radius,
         values=c[keep],
         tail_norm=float(math.sqrt(tails[radius])),
+        tail_l1=float(l1[radius]),
         aliasing_estimate=aliasing,
     )
 
 
 @dataclass(frozen=True)
 class FrameletBank:
-    """The four sampled symbols H0..H3 with truncated filter coefficients.
-
-    Banks loaded from JSON carry coefficients only (H is None); transforms
-    and framelet_time work either way.  H serves only uep_errors and the
-    frames suite of checks.
-    """
+    """The four bands' truncated taps and the grid they were sampled on,
+    whether built by build_bank or loaded from JSON."""
 
     order: PseudoSplineOrder
     grid: TorusGrid
-    H: tuple | None
     coeffs: dict
     truncation_eps: float
-
-    def symbol(self, n: int) -> SampledSymbol:
-        if self.H is None:
-            raise ConsistencyError(
-                "this bank carries coefficients only (loaded from JSON); "
-                "rebuild it with build_bank to access sampled symbols"
-            )
-        return self.H[n]
 
     def max_support_radius(self) -> int:
         return max(self.coeffs[n].support_radius for n in range(4))
 
 
 def uep_errors(bank: FrameletBank) -> tuple[float, float]:
-    """Max deviations of the two filter-bank identities over the grid.
+    """Max deviations of the two filter-bank identities of the bank's taps on its grid.
 
     Returns (diagonal, offdiagonal): max |sum_n |H_n|^2 - 1| and
-    max |sum_n H_n(gamma) conj(H_n(gamma + 1/2))|.
+    max |sum_n H_n(gamma) conj(H_n(gamma + 1/2))|, from one FFT of the taps.
     """
-    diag = np.zeros(bank.grid.resolution)
-    off = np.zeros(bank.grid.resolution, dtype=complex)
-    for n in range(4):
-        symbol = bank.symbol(n)
-        diag += np.abs(symbol.values) ** 2
-        off += symbol.values * np.conj(symbol.half_shifted())
+    n = bank.grid.resolution
+    spectra = _tap_spectra([bank.coeffs[band] for band in range(4)], n, 0)
+    diag = np.sum(np.abs(spectra) ** 2, axis=0)
+    off = np.sum(spectra * np.conj(np.roll(spectra, n // 2, axis=-1)), axis=0)
     return float(np.max(np.abs(diag - 1.0))), float(np.max(np.abs(off)))
 
 
@@ -316,21 +302,28 @@ _GRID_CAP = 2**18
 
 
 def _bank_on(order: PseudoSplineOrder, grid: TorusGrid, eps: float, remedy: str) -> FrameletBank:
-    symbols = sample_bank(order, grid)
-    coeffs = {band: _coeffs_from_samples(band, symbols[band].values, eps, remedy) for band in range(4)}
-    return FrameletBank(order=order, grid=grid, H=symbols, coeffs=coeffs, truncation_eps=float(eps))
+    """Bands 0 and 2 cut from their samples, and 1 and 3 derived by the tap forms
+    h1_k = -(-1)^k conj(h0_{1-k}) and h3_k = h2_{k-1}, taking their partners' tails."""
+    h0, _, h2, _ = sample_bank(order, grid)
+    c0 = _coeffs_from_samples(0, h0.values, eps, remedy)
+    c2 = _coeffs_from_samples(2, h2.values, eps, remedy)
+    c1 = replace(c0, offset=2 - c0.offset - len(c0.values), values=np.conj(c0.values[::-1]))
+    c1 = replace(c1, values=np.where(c1.ks % 2 == 1, c1.values, -c1.values))
+    c3 = replace(c2, offset=c2.offset + 1)
+    return FrameletBank(order=order, grid=grid, coeffs={0: c0, 1: c1, 2: c2, 3: c3}, truncation_eps=float(eps))
 
 
 def build_bank(
     order: PseudoSplineOrder, grid: TorusGrid | None = None, truncation_eps: float = 1e-10
 ) -> FrameletBank:
-    """sample_bank's H0..H3 with filter coefficients truncated at eps, within |k| <= N // 4.
+    """The bank of sample_bank's bands 0 and 2 truncated at eps within
+    |k| <= N // 4, and bands 1 and 3 derived from them (reaching N // 4 + 1).
 
     With grid None the grid is sized to the order: N starts at the least
-    power of two >= 64 with N // 4 > |u| and doubles while a band's tail at
-    N // 4 exceeds eps.  Past 2^18 points a ToleranceError names that cap,
-    before any sampling if |u| alone is past it.  A negative or non-finite
-    truncation_eps raises DomainError.
+    power of two >= 64 with N // 4 > |u| and doubles while band 0's or band
+    2's tail at N // 4 exceeds eps.  Past 2^18 points a ToleranceError names
+    that cap, before any sampling if |u| alone is past it.  A negative or
+    non-finite truncation_eps raises DomainError.
     """
     if not (math.isfinite(truncation_eps) and truncation_eps >= 0.0):
         raise DomainError(f"truncation eps must be finite and >= 0, got {truncation_eps!r}")
@@ -375,7 +368,8 @@ def framelet_time(bank: FrameletBank, phi: Profile, n: int) -> Profile:
 
     Requires 1/step to be an even integer so that 2t + k lands on the grid;
     phi is treated as 0 outside its sampled range.  The reported
-    tail_estimate combines the coefficient truncation with phi's own tail.
+    tail_estimate combines the dropped taps, at most 2 tail_l1 sup|phi| at
+    any t, with phi's own tail.
     """
     if n not in (1, 2, 3):
         raise DomainError(f"framelet index must be 1, 2 or 3, got {n!r}")
@@ -397,7 +391,7 @@ def framelet_time(bank: FrameletBank, phi: Profile, n: int) -> Profile:
         out[ok] += ck * vals[pos[ok]]
     out *= 2.0
     sup_phi = float(np.max(np.abs(vals)))
-    tail = 2.0 * coeffs.tail_norm * sup_phi + 2.0 * coeffs.sum_abs() * phi.tail_estimate
+    tail = 2.0 * coeffs.tail_l1 * sup_phi + 2.0 * coeffs.sum_abs() * phi.tail_estimate
     return Profile(bank.order, phi.half_width, phi.step, out, tail_estimate=tail)
 
 
@@ -763,6 +757,7 @@ def bank_to_dict(bank: FrameletBank) -> dict:
                 "offset": bank.coeffs[n].offset,
                 "values": [[v.real, v.imag] for v in bank.coeffs[n].values],
                 "tail_norm": bank.coeffs[n].tail_norm,
+                "tail_l1": bank.coeffs[n].tail_l1,
                 "aliasing_estimate": bank.coeffs[n].aliasing_estimate,
             }
             for n in range(4)
@@ -771,8 +766,8 @@ def bank_to_dict(bank: FrameletBank) -> dict:
 
 
 def bank_from_dict(d: dict) -> FrameletBank:
-    """Rebuild a coefficient-only bank (H is None) from its JSON form; a
-    missing or malformed entry raises DomainError."""
+    """Rebuild a bank from its JSON form; a missing or malformed entry
+    raises DomainError."""
     from .serialize import order_from_dict
 
     try:
@@ -783,6 +778,7 @@ def bank_from_dict(d: dict) -> FrameletBank:
                 offset=int(entry["offset"]),
                 values=values,
                 tail_norm=float(entry["tail_norm"]),
+                tail_l1=float(entry["tail_l1"]),
                 aliasing_estimate=float(entry["aliasing_estimate"]),
             )
         order = order_from_dict(d["order"])
@@ -793,4 +789,4 @@ def bank_from_dict(d: dict) -> FrameletBank:
         raise DomainError(f"malformed bank JSON ({exc})") from None
     if sorted(coeffs) != [0, 1, 2, 3]:
         raise DomainError("bank JSON must carry coefficient entries for bands 0..3")
-    return FrameletBank(order=order, grid=TorusGrid(resolution), H=None, coeffs=coeffs, truncation_eps=eps)
+    return FrameletBank(order=order, grid=TorusGrid(resolution), coeffs=coeffs, truncation_eps=eps)

@@ -10,7 +10,7 @@ Shapes:
     one row per sample.
   - bank JSON: {"order": {"z_re", "z_im", "ell", "u"}, "resolution", "truncation_eps",
     "coeffs": {"0".."3": {"offset", "values": [[re, im], ...],
-    "tail_norm", "aliasing_estimate"}}}.
+    "tail_norm", "tail_l1", "aliasing_estimate"}}}.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ The acceptance gate in test_acceptance.py tags each test with the number of
 the criterion it checks; a terminal-summary hook prints one PASS/FAIL line
 per criterion so the gate's verdict is readable without scrolling.  The
 envelope_conditions fixture is the grid check shared by the analysis tests
-and criterion 6.
+and criterion 6.  The sample_identities and tap_identities fixtures check
+the two UEP identities, on frames.sample_bank's symbols and on a bank's
+shipped taps.
 """
 
 import re
@@ -12,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from pseudosplines import frames
 from pseudosplines.symbol import eval_p
 
 CRITERIA = {
@@ -45,6 +48,37 @@ def _envelope_conditions(order, points: int = 4096) -> bool:
 @pytest.fixture
 def envelope_conditions():
     return _envelope_conditions
+
+
+def _sample_identities(symbols) -> tuple[float, float]:
+    """(diagonal, offdiagonal): max |sum_n |H_n|^2 - 1| and
+    max |sum_n H_n(gamma) conj(H_n(gamma + 1/2))| over sampled H0..H3."""
+    diag = sum(np.abs(h.values) ** 2 for h in symbols)
+    off = sum(h.values * np.conj(h.half_shifted()) for h in symbols)
+    return float(np.max(np.abs(diag - 1.0))), float(np.max(np.abs(off)))
+
+
+def _tap_identities(bank) -> tuple[float, float]:
+    """frames.uep_errors of the bank's taps, asserted within the proven
+    bounds: the off-diagonal sum cancels to rounding, and each band's
+    dropped taps, of l1 norm t, move H_n by at most t at any gamma, so the
+    diagonal by at most 2 t + t^2.  Returns both defects."""
+    diag, off = frames.uep_errors(bank)
+    tails = [bank.coeffs[n].tail_l1 for n in range(4)]
+    assert off <= 1e-13, off
+    assert diag <= sum(2.0 * t + t * t for t in tails) + 1e-13, (diag, tails)
+    return diag, off
+
+
+# session-scoped, so that hypothesis tests can take them too
+@pytest.fixture(scope="session")
+def sample_identities():
+    return _sample_identities
+
+
+@pytest.fixture(scope="session")
+def tap_identities():
+    return _tap_identities
 
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")

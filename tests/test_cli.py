@@ -103,7 +103,12 @@ def test_orders_within_the_partition_bound_build_their_banks(tmp_path, capsys, t
     (order,) = cli._parse_orders(token)
     symbols = frames.sample_bank(order, TorusGrid(8192))
     bank = frames.build_bank(order, TorusGrid(8192))
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(symbols, bank.H))
+    # bands 0 and 2 are cut from these samples, and 1 and 3 derived from them
+    for band in (0, 2):
+        cut = frames._coeffs_from_samples(band, symbols[band].values, bank.truncation_eps, "")
+        assert cut.offset == bank.coeffs[band].offset
+        assert np.array_equal(cut.values, bank.coeffs[band].values)
+    assert frames.uep_errors(bank)[1] <= 1e-13
     z, ell = token.split(",")
     rc, _, err = run(["filter", "--bands", "0,1", "--z", z, "--ell", ell], tmp_path, capsys)
     assert rc == 0, err
@@ -408,13 +413,13 @@ def test_transform_one_level_of_a_four_sample_signal(tmp_path, capsys):
 
 
 def test_transform_of_a_narrow_bank_takes_short_ffts_and_is_deterministic(tmp_path, capsys):
-    # the (2, 1) bank spans 51 offsets, so 4096 samples build the tap spectra
-    # from 64 FFTs of length 64 instead of wrapping the taps
+    # the (2, 1) bank spans 50 offsets (band 2's -24..24 and band 3's 25), so
+    # 4096 samples run in blocks of short FFTs instead of wrapping the taps
     rc, _, _ = run(["framelets", "--z", "2", "--ell", "1"], tmp_path, capsys)
     assert rc == 0
     coeffs = json.loads((tmp_path / "bank.json").read_text())["coeffs"].values()
     lo = min(c["offset"] for c in coeffs)
-    assert max(c["offset"] + len(c["values"]) for c in coeffs) - lo == 51
+    assert max(c["offset"] + len(c["values"]) for c in coeffs) - lo == 50
     rng = np.random.default_rng(52)
     values = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
     write_samples_csv(tmp_path / "signal.csv", "index", np.arange(4096), values)
@@ -653,11 +658,12 @@ def test_series_files_hold_the_samples_the_library_builds(tmp_path, capsys):
     assert rc == 0
 
     bank = frames.build_bank(order, TorusGrid(1024))
+    symbols = frames.sample_bank(order, bank.grid)
     profile, _ = run_cascade(order)
     phi = to_time_domain(profile, half_width=4.0, step=1 / 32)
     expected = {
-        "filter_h0": (bank.grid.gamma, bank.symbol(0).values),
-        "filter_h1": (bank.grid.gamma, bank.symbol(1).values),
+        "filter_h0": (bank.grid.gamma, symbols[0].values),
+        "filter_h1": (bank.grid.gamma, symbols[1].values),
         "cascade_phihat": (profile.points, profile.values),
         "cascade_phi_time": (phi.points, phi.values),
     }
@@ -700,7 +706,7 @@ ONE_TAP_BANK = {
     "resolution": 64,
     "truncation_eps": 1e-10,
     "coeffs": {
-        str(n): {"offset": 0, "values": [[1.0, 0.0]], "tail_norm": 0.0, "aliasing_estimate": 0.0}
+        str(n): {"offset": 0, "values": [[1.0, 0.0]], "tail_norm": 0.0, "tail_l1": 0.0, "aliasing_estimate": 0.0}
         for n in range(4)
     },
 }
@@ -723,6 +729,9 @@ TRANSFORM = ["transform", "--bank", "bank.json", "--input", "signal.csv"]
         (TRANSFORM, {"bank.json": json.dumps({**ONE_TAP_BANK, "coeffs": []})}, "malformed bank JSON"),
         (TRANSFORM, {"bank.json": json.dumps({**ONE_TAP_BANK, "coeffs": {
             n: {**c, "values": [[1.0]]} for n, c in ONE_TAP_BANK["coeffs"].items()}})}, "malformed bank JSON"),
+        (TRANSFORM, {"bank.json": json.dumps({**ONE_TAP_BANK, "coeffs": {
+            n: {k: v for k, v in c.items() if k != "tail_l1"} for n, c in ONE_TAP_BANK["coeffs"].items()}})},
+         "'tail_l1'"),
         (["filter", "--config", "run.json"], {"run.json": '{"z": true}'}, "True"),
         (["filter", "--config", "run.json"], {"run.json": '{"z": 2, "ell": true}'}, "'ell' takes a string"),
         (["analyze", "--config", "run.json"], {"run.json": '{"z": 2, "no_fits": "false"}'},
@@ -746,6 +755,7 @@ TRANSFORM = ["transform", "--bank", "bank.json", "--input", "signal.csv"]
     ],
     ids=["z-ell-token", "shift-token", "fractional-ell", "csv-row", "invalid-json",
          "json-list", "bank-without-coeffs", "bank-without-order", "coeffs-list", "one-part-value",
+         "bank-without-tail-l1",
          "boolean-z", "boolean-ell", "string-flag", "list-z", "null-frames-grid",
          "nan-window", "inf-window", "nan-time-half-width", "inf-time-half-width", "nan-sup-tolerance",
          "negative-sup-tolerance", "nan-time-tolerance", "nan-psi-window", "psi-window-off-step",

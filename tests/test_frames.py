@@ -1,5 +1,6 @@
 """Framelet bank: the two filter identities, coefficients, transforms, PR."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -132,16 +133,22 @@ def test_sigma_is_a_root_of_eta_across_the_accepted_domain(alpha, beta, ell_frac
 
 def test_bank_highpass_closed_form_for_the_linear_spline():
     gam = BANK_1_0.grid.gamma
-    h1 = BANK_1_0.symbol(1).values
+    h1 = frames.sample_bank(BANK_1_0.order, BANK_1_0.grid)[1].values
     ref = np.exp(2j * np.pi * gam) * np.sin(np.pi * gam) ** 2
     assert np.abs(h1 - ref).max() < 1e-13
+    # the shipped taps -1/4, 1/2, -1/4 at k = 0, 1, 2
+    c = BANK_1_0.coeffs[1]
+    assert np.array_equal(c.ks, [0, 1, 2])
+    taps = np.exp(2j * np.pi * np.outer(gam, c.ks)) @ c.values
+    assert np.abs(taps - ref).max() < 1e-13
 
 
-def test_bank_identities_across_orders():
+def test_bank_identities_across_orders(sample_identities, tap_identities):
     for bank in (BANK_1_0, BANK_15_0, BANK_2_0, make_bank(3.2 + 1.0j, 3, resolution=2048)):
-        diag, off = frames.uep_errors(bank)
+        diag, off = sample_identities(frames.sample_bank(bank.order, bank.grid))
         assert diag < 1e-10
         assert off < 1e-10
+        tap_identities(bank)
 
 
 # rounding of max P - 1 from the H0 samples against -min eta from sigma's
@@ -159,7 +166,9 @@ PARTITION_BAND = 1e-12
 @example(alpha=1.0, beta=0.0, ell_fraction=1.0)  # (1, 1)
 @example(alpha=2.5, beta=0.0, ell_fraction=1.0)  # (2.5, 3)
 @example(alpha=1.0, beta=0.5, ell_fraction=1.0)  # (1+0.5i, 1)
-def test_sample_bank_raises_exactly_past_the_partition_bound(alpha, beta, ell_fraction):
+def test_sample_bank_raises_exactly_past_the_partition_bound(
+    alpha, beta, ell_fraction, sample_identities, tap_identities
+):
     top = max_ell(alpha) + 1
     order = PseudoSplineOrder(complex(alpha, beta), min(int(ell_fraction * (top + 1)), top))
     assume(lowpass_condition(order)[0])
@@ -172,8 +181,12 @@ def test_sample_bank_raises_exactly_past_the_partition_bound(alpha, beta, ell_fr
         assert excess > 1e-9 - PARTITION_BAND
         return
     assert excess <= 1e-9 + PARTITION_BAND
-    bank = frames.FrameletBank(order, grid, H=symbols, coeffs={}, truncation_eps=0.0)
-    assert max(frames.uep_errors(bank)) < 1e-10
+    assert max(sample_identities(symbols)) < 1e-10
+    try:
+        bank = frames.build_bank(order, grid)
+    except ToleranceError:  # a fractional tail past |k| = 256
+        return
+    tap_identities(bank)
 
 
 def test_bank_requires_a_reasonable_grid():
@@ -183,9 +196,13 @@ def test_bank_requires_a_reasonable_grid():
 
 def test_vanishing_means_on_the_grid():
     for bank in (BANK_15_0, BANK_2_0):
+        symbols = frames.sample_bank(bank.order, bank.grid)
         zero = bank.grid.resolution // 2
         for n in (1, 2, 3):
-            assert abs(bank.symbol(n).values[zero]) < 1e-12
+            assert abs(symbols[n].values[zero]) < 1e-12
+            # the shipped band's sum is its dropped taps' sum
+            c = bank.coeffs[n]
+            assert abs(np.sum(c.values)) <= c.tail_l1 + 1e-13
 
 
 # ---------------------------------------------------------------- coefficients
@@ -209,18 +226,18 @@ def test_lowpass_taps_for_the_cubic_spline():
 
 def test_highpass_taps_mirror_the_lowpass():
     # H1(g) = e^{2 pi i g} conj H0(g + 1/2) maps taps k -> conj at 1-k with
-    # alternating sign
-    c0 = dict(zip((int(k) for k in BANK_15_0.coeffs[0].ks), BANK_15_0.coeffs[0].values))
-    c1 = dict(zip((int(k) for k in BANK_15_0.coeffs[1].ks), BANK_15_0.coeffs[1].values))
-    checked = 0
-    for k, v in c1.items():
-        if 1 - k in c0:
-            assert v == pytest.approx((-1.0) ** (1 - k) * np.conj(c0[1 - k]), abs=1e-13)
-            checked += 1
-        else:
-            # tap whose mirror was truncated; bounded by the truncated tail
-            assert abs(v) < 2e-5
-    assert checked >= len(c1) - 2
+    # alternating sign, and H3(g) = e^{2 pi i g} H2(g) moves them to k+1:
+    # every tap, tails included
+    for bank in (BANK_1_0, BANK_15_0, make_bank(3.2 + 1.0j, 2, shift=-0.5)):
+        c0, c1, c2, c3 = (bank.coeffs[n] for n in range(4))
+        assert np.array_equal(c1.ks, 1 - c0.ks[::-1])
+        assert np.array_equal(c1.values, (-1.0) ** (1 - c1.ks) * np.conj(c0.values[::-1]))
+        assert np.array_equal(c3.ks, c2.ks + 1)
+        assert np.array_equal(c3.values, c2.values)
+        for derived, partner in ((c1, c0), (c3, c2)):
+            assert (derived.tail_norm, derived.tail_l1, derived.aliasing_estimate) == (
+                partner.tail_norm, partner.tail_l1, partner.aliasing_estimate
+            )
 
 
 def test_sigma_bands_live_on_even_taps():
@@ -234,23 +251,31 @@ def test_sigma_bands_live_on_even_taps():
 
 def test_coefficient_parseval():
     for bank in (BANK_15_0, BANK_2_0):
+        symbols = frames.sample_bank(bank.order, bank.grid)
         for n in range(4):
             c = bank.coeffs[n]
-            h = bank.symbol(n).values
+            h = symbols[n].values
             lhs = float(np.sum(np.abs(np.asarray(c.values)) ** 2))
             rhs = float(np.mean(np.abs(h) ** 2))
             assert lhs == pytest.approx(rhs, abs=1e-8)
+            # the kept and the dropped taps hold all the energy
+            assert lhs + c.tail_norm**2 == pytest.approx(rhs, abs=1e-14)
 
 
 def test_truncation_tails_are_recorded_and_small():
     bank = make_bank(1.5, 1, resolution=4096)
     for n in range(4):
         assert 0.0 <= bank.coeffs[n].tail_norm <= 1e-10
+        assert bank.coeffs[n].tail_norm <= bank.coeffs[n].tail_l1
     assert bank.truncation_eps == 1e-10
 
 
 def test_taps_stop_at_a_quarter_of_the_grid():
-    assert BANK_15_0.max_support_radius() <= BANK_15_0.grid.resolution // 4
+    # bands 0 and 2 are cut at |k| <= N // 4; bands 1 and 3, derived from
+    # them, reach one tap further
+    quarter = BANK_15_0.grid.resolution // 4
+    assert max(BANK_15_0.coeffs[n].support_radius for n in (0, 2)) <= quarter
+    assert BANK_15_0.max_support_radius() <= quarter + 1
     # the (1.5, 0) tails decay like k^-5: at N = 256 the radius 64 leaves 6.2e-08
     with pytest.raises(ToleranceError, match=r"band 0: discarded-tail norm 6\.200e-08 at \|k\| <= 64 "):
         frames.build_bank(BANK_15_0.order, TorusGrid(256))
@@ -344,6 +369,29 @@ def test_framelet_time_band_two_is_real_for_real_orders():
     phi = to_time_domain(profile, half_width=8.0, step=1.0 / 32, tolerance=1e-2)
     psi2 = frames.framelet_time(BANK_15_0, phi, 2)
     assert np.abs(psi2.values.imag).max() < 1e-9
+
+
+def test_framelet_time_tail_estimate_bounds_the_dropped_taps():
+    # psi from the shipped taps against psi from all N sampled coefficients.
+    # A constant phi is the worst case: where every dropped tap lands in its
+    # range, the two differ by twice the dropped taps' sum, which reaches
+    # 2 tail_l1 sup|phi| when they share one phase, as band 1's do at (1.5, 0)
+    bank = BANK_15_0
+    phi = Profile(bank.order, 1024.0, 0.5, np.ones(4097))
+    n_pts = bank.grid.resolution
+    ks = np.arange(-n_pts // 2, n_pts // 2)
+    errors = {}
+    for n, symbol in zip((1, 2, 3), frames.sample_bank(bank.order, bank.grid)[1:]):
+        values = np.fft.fftshift(np.fft.fft(symbol.values)) / n_pts * (-1.0) ** ks
+        full = frames.FilterCoefficients(-n_pts // 2, values, tail_norm=0.0, tail_l1=0.0, aliasing_estimate=0.0)
+        psi = frames.framelet_time(bank, phi, n)
+        exact = frames.framelet_time(dataclasses.replace(bank, coeffs={**bank.coeffs, n: full}), phi, n)
+        errors[n] = float(np.max(np.abs(psi.values - exact.values)))
+        assert psi.tail_estimate == 2.0 * bank.coeffs[n].tail_l1
+        assert errors[n] <= psi.tail_estimate + 1e-13
+    # the bound is tight, and 24 times the old l2 estimate, which bounds no point
+    assert errors[1] > 0.99 * 2.0 * bank.coeffs[1].tail_l1
+    assert errors[1] > 10.0 * 2.0 * bank.coeffs[1].tail_norm
 
 
 def test_framelet_time_needs_a_compatible_grid():
@@ -641,11 +689,9 @@ def coefficient_bank(lo, width, seed):
         size = width if n == 0 else int(rng.integers(1, width - start + 1))
         values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         coeffs[n] = frames.FilterCoefficients(
-            offset=lo + start, values=values, tail_norm=0.0, aliasing_estimate=0.0
+            offset=lo + start, values=values, tail_norm=0.0, tail_l1=0.0, aliasing_estimate=0.0
         )
-    return frames.FrameletBank(
-        order=PseudoSplineOrder(1.5, 0), grid=TorusGrid(64), H=None, coeffs=coeffs, truncation_eps=1e-10
-    )
+    return frames.FrameletBank(order=PseudoSplineOrder(1.5, 0), grid=TorusGrid(64), coeffs=coeffs, truncation_eps=1e-10)
 
 
 @settings(deadline=None, max_examples=60)
@@ -976,20 +1022,36 @@ def test_bank_json_round_trip_preserves_transforms():
         assert np.array_equal(x, y)
 
 
-def test_coefficient_only_bank_refuses_symbol_access():
-    loaded = frames.bank_from_dict(frames.bank_to_dict(BANK_1_0))
-    with pytest.raises(ConsistencyError):
-        loaded.symbol(0)
+@pytest.mark.parametrize("z, ell", [(3.2 + 1.0j, 2), (1.5, 0)])
+def test_a_loaded_bank_is_the_bank_it_was_saved_from(z, ell):
+    bank = make_bank(z, ell)
+    loaded = frames.bank_from_dict(json.loads(dump_json(frames.bank_to_dict(bank))))
+    assert type(loaded) is frames.FrameletBank
+    assert (loaded.order, loaded.grid, loaded.truncation_eps) == (bank.order, bank.grid, bank.truncation_eps)
+    for n in range(4):
+        for field in dataclasses.fields(frames.FilterCoefficients):
+            assert np.array_equal(getattr(loaded.coeffs[n], field.name), getattr(bank.coeffs[n], field.name))
+    assert frames.uep_errors(loaded) == frames.uep_errors(bank)
+    assert loaded.max_support_radius() == bank.max_support_radius()
+    rng = np.random.default_rng(46)
+    sig = frames.PeriodicSignal(rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
+    results = []
+    for b in (bank, loaded):
+        details, approx = frames.analyze_multilevel(b, sig, 3)
+        results.append([*(band for level in details for band in level), approx,
+                        frames.synthesize_multilevel(b, details, approx).samples])
+    assert all(np.array_equal(x, y) for x, y in zip(*results))
 
 
 # ---------------------------------------------------------------- shifted banks
 
 
-def test_shifted_bank_keeps_the_identities():
+def test_shifted_bank_keeps_the_identities(sample_identities, tap_identities):
     bank = make_bank(1.5, 1, shift=0.5)
-    diag, off = frames.uep_errors(bank)
+    diag, off = sample_identities(frames.sample_bank(bank.order, bank.grid))
     assert diag < 1e-10
     assert off < 1e-10
+    tap_identities(bank)
     rng = np.random.default_rng(45)
     f = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
     sig = frames.PeriodicSignal(f)

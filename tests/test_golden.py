@@ -16,7 +16,9 @@ exactly.
 
 A change that moves a value past these limits regenerates the references with
     PYTHONPATH=src python tests/test_golden.py
-and says so in CHANGES.md.
+and says so in CHANGES.md.  The run prints each digest key that moved and,
+for each time-domain file that moved, its largest sampled change as a share
+of the file's largest sampled value.
 """
 
 import hashlib
@@ -103,6 +105,24 @@ def test_cascade_runs_match_the_golden_reference(tmp_path, capsys):
     assert got == reference["sha256"]
 
 
+def print_moves(old: dict, new: dict) -> None:
+    """Print what moved between two references, as the module docstring says."""
+    for key in sorted(old["sha256"].keys() | new["sha256"].keys()):
+        if old["sha256"].get(key) != new["sha256"].get(key):
+            print(f"moved: {key}")
+    for key in sorted(old.get("time_domain", {}).keys() | new.get("time_domain", {}).keys()):
+        ref, got = old["time_domain"].get(key), new["time_domain"].get(key)
+        if ref is None or got is None or ref["rows"] != got["rows"]:
+            print(f"moved: {key} (rows {ref and ref['rows']} -> {got and got['rows']})")
+            continue
+        expected, actual = np.array(ref["sample"]), np.array(got["sample"])
+        if not np.array_equal(actual, expected):
+            scale = float(np.max(np.abs(expected[:, 1:])))
+            change = float(np.max(np.abs(actual - expected)))
+            past = " (past RTOL)" if change > RTOL * scale else ""
+            print(f"moved: {key} by {change / scale:.2e} of its largest sampled value{past}")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -112,5 +132,7 @@ if __name__ == "__main__":
         cascade = {"sha256": cascade_digests(pathlib.Path(tmp) / "cascade")}
     DATA.mkdir(exist_ok=True)
     for path, obj in ((REFERENCE, summary), (CASCADE_REFERENCE, cascade)):
+        if path.exists():
+            print_moves(json.loads(path.read_text()), obj)
         path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")

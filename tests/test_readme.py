@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pseudosplines
-from pseudosplines import cli, errors
+from pseudosplines import cli, errors, frames
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,12 +21,17 @@ def quickstart() -> str:
     return blocks[0]
 
 
-def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys, sample_identities, tap_identities):
     monkeypatch.chdir(tmp_path)
     ns = {"__name__": "readme_quickstart"}
     exec(compile(quickstart(), str(README), "exec"), ns)
     capsys.readouterr()
-    assert max(pseudosplines.uep_errors(ns["bank"])) < 1e-12
+    bank = ns["bank"]
+    assert max(sample_identities(frames.sample_bank(bank.order, bank.grid))) < 1e-12
+    # the comment's magnitudes: the diagonal near the taps' tails, the
+    # off-diagonal at rounding
+    diag, off = tap_identities(bank)
+    assert 1e-12 < diag < 1e-10 and off < 1e-15
     # taps truncated at eps = 1e-10; 1e-8 is the limit verify applies
     assert np.max(np.abs(ns["g"].samples - ns["f"].samples)) < 1e-8
     assert list(tmp_path.iterdir()) == []
