@@ -82,9 +82,6 @@ class Profile:
         m = (len(self.values) - 1) // 2
         return (np.arange(len(self.values)) - m) * self.step
 
-    def value_at_zero(self) -> complex:
-        return complex(self.values[(len(self.values) - 1) // 2])
-
 
 @dataclass
 class CascadeDiagnostics:

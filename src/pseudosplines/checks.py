@@ -2,7 +2,11 @@
 
 Each check compares an observed deviation against a limit and records both,
 so callers (tests, the `verify` CLI command) can print margins rather than
-bare booleans.
+bare booleans.  The checks test the paper's identities: the symbol suite the
+two-point partition bounds and the symbol's evaluation paths, the cascade
+suite the refinable function's convergence, and the frames suite the UEP
+identities of the shipped taps and the transform they define.  None holds by
+construction: each fails on some corrupted input.
 """
 
 from __future__ import annotations
@@ -13,18 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames
-from .analysis import lowpass_condition
 from .cascade import refinement_residual, run_cascade
 from .errors import DomainError, PseudoSplineError
 from .symbol import (
     PartitionExtrema,
     PseudoSplineOrder,
     TorusGrid,
-    eval_H0,
     eval_p,
     eval_q,
     eval_q_prime,
-    lipschitz_check,
     partition_extrema,
     theta_bound,
 )
@@ -80,7 +81,6 @@ def run_symbol_checks(
     theta = theta_bound(order)
     results.append(CheckResult("partition_min_matches_theta", abs(ext.min - theta), 1e-10))
     results.append(CheckResult("partition_max_is_one", abs(ext.max - 1.0), 1e-12))
-    results.append(CheckResult("symbol_at_zero", abs(eval_H0(order, 0.0) - 1.0), 1e-13))
 
     xs = np.linspace(0.0, 1.0, 21)
     pd = np.asarray(eval_p(order, xs, form="definition"))
@@ -94,14 +94,6 @@ def run_symbol_checks(
     fd = (np.asarray(eval_q(order, xs_fd + h)) - np.asarray(eval_q(order, xs_fd - h))) / (2 * h)
     rel = np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-12)
     results.append(CheckResult("q_prime_finite_difference", float(np.max(rel)), 1e-6))
-
-    if order.shift != 0.0:
-        g = grid.gamma
-        shifted = np.asarray(eval_H0(order, g))
-        base = np.asarray(eval_H0(order.unshifted, g)) * np.exp(-2j * np.pi * order.shift * g)
-        results.append(CheckResult("shift_phase_identity", float(np.max(np.abs(shifted - base))), 1e-13))
-
-    results.append(CheckResult("lipschitz_constant_bounded", lipschitz_check(order, grid), 1e6))
     return results
 
 
@@ -120,7 +112,6 @@ def run_cascade_checks(
         ),
         CheckResult("l2_bounded_by_one", max(diag.l2_norms) - 1.0, 1e-10),
         CheckResult("modulus_bounded_by_one", diag.max_modulus - 1.0, 1e-12),
-        CheckResult("value_at_zero_is_one", abs(profile.value_at_zero() - 1.0), 1e-13),
         CheckResult("refinement_residual", refinement_residual(profile), 1e-6),
         CheckResult("final_sup_change", diag.sup_changes[-1], 1e-8),
     ]
@@ -138,6 +129,8 @@ def run_frames_checks(
     the grid build_bank sizes to the order when resolution is None."""
     if signals < 1:
         raise DomainError(f"the frames suite needs at least 1 test signal, got {signals}")
+    if seed < 0:
+        raise DomainError(f"the frames suite needs a seed >= 0, got {seed}")
     frames._require_length(signal_length)
     bank = frames.build_bank(order, None if resolution is None else TorusGrid(resolution), truncation_eps)
     # the shipped taps: derived bands 1 and 3 cancel the off-diagonal sum, and
@@ -174,9 +167,6 @@ def run_frames_checks(
     worst_roundtrip = float(np.max(errors, initial=0.0))
     results.append(CheckResult("discrete_parseval", worst_energy, limit))
     results.append(CheckResult("perfect_reconstruction", worst_roundtrip, limit))
-
-    ok, total = lowpass_condition(order)
-    results.append(CheckResult("lowpass_arctan_in_range", 0.0 if ok else abs(total), 0.5 * math.pi))
     return results, bank.grid.resolution
 
 

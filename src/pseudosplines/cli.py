@@ -247,7 +247,10 @@ def cmd_transform(ns: argparse.Namespace) -> int:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
-    ext = partition_extrema(order, TorusGrid(ns.grid))
+    try:
+        ext = partition_extrema(order, TorusGrid(ns.grid))
+    except PseudoSplineError:
+        ext = None  # the symbol suite raises it again, as its error entry
     results, frames_resolution = run_all(
         order,
         symbol_resolution=ns.grid,
@@ -261,22 +264,19 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         seed=ns.seed,
         extrema=ext,
     )
-    theta = theta_bound(order)
-    sys.stdout.write(
-        f"partition min={format_float(ext.min)} theta_bound={format_float(theta)} "
-        f"max={format_float(ext.max)}\n"
-    )
+    partition = None
+    if ext is not None:
+        theta = theta_bound(order)
+        partition = {**ext._asdict(), "theta_bound": theta}
+        sys.stdout.write(
+            f"partition min={format_float(ext.min)} theta_bound={format_float(theta)} "
+            f"max={format_float(ext.max)}\n"
+        )
     sys.stdout.write(f"frames_resolution={frames_resolution}\n")
     all_passed = True
     report = {
         "order": order_to_dict(order),
-        "partition": {
-            "min": ext.min,
-            "argmin": ext.argmin,
-            "max": ext.max,
-            "argmax": ext.argmax,
-            "theta_bound": theta,
-        },
+        "partition": partition,
         "frames_resolution": frames_resolution,
         "suites": {},
     }

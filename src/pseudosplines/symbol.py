@@ -50,7 +50,6 @@ __all__ = [
     "kappa",
     "PartitionExtrema",
     "partition_extrema",
-    "lipschitz_check",
 ]
 
 
@@ -422,18 +421,3 @@ def partition_extrema(order: PseudoSplineOrder, grid: TorusGrid) -> PartitionExt
     g = grid.gamma
     return PartitionExtrema(float(s[jmin]), float(g[jmin]), float(s[jmax]), float(g[jmax]))
 
-
-def lipschitz_check(order: PseudoSplineOrder, grid: TorusGrid) -> float:
-    """Empirical constant C = max |H0(gamma) - 1| / |gamma|^eps over the grid.
-
-    eps = 1 for unshifted orders, 1/2 for shifted ones (the phase factor
-    contributes an O(|gamma|) term while the magnitude deviates like
-    O(|gamma|^2); the square-root scale keeps the constant finite and grid
-    stable in the shifted case).  gamma = 0 is excluded (0/0).
-    """
-    g = grid.gamma
-    h = np.asarray(eval_H0(order, g), dtype=complex)
-    eps = 1.0 if order.shift == 0.0 else 0.5
-    mask = g != 0.0
-    ratios = np.abs(h[mask] - 1.0) / np.abs(g[mask]) ** eps
-    return float(np.max(ratios))

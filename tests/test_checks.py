@@ -1,9 +1,11 @@
 """The verification suites underlying the verify command."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pseudosplines import cli, frames
+from pseudosplines import checks, cli, frames
 from pseudosplines.analysis import lowpass_condition
 from pseudosplines.checks import (
     CheckResult,
@@ -13,7 +15,7 @@ from pseudosplines.checks import (
     run_symbol_checks,
 )
 from pseudosplines.errors import ToleranceError
-from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, max_ell
+from pseudosplines.symbol import PseudoSplineOrder, TorusGrid, max_ell, partition_extrema
 
 # the orders of the verify_sweep benchmark workload
 VERIFY_SWEEP = [*cli._parse_orders(cli.DEFAULT_SWEEP), PseudoSplineOrder(2.0, 1, shift=0.5)]
@@ -41,13 +43,6 @@ def test_symbol_suite_passes_for_representative_orders():
     for z, ell, u in [(1.0, 0, 0.0), (2.7, 1, 0.0), (3.2 + 1.0j, 3, 0.0), (1.5, 1, 0.5)]:
         results = run_symbol_checks(PseudoSplineOrder(z, ell, shift=u), resolution=1024)
         assert all(r.passed for r in results), [r for r in results if not r.passed]
-
-
-def test_symbol_suite_includes_the_phase_check_only_when_shifted():
-    names = {r.name for r in run_symbol_checks(PseudoSplineOrder(1.5, 1, shift=0.5), resolution=256)}
-    assert "shift_phase_identity" in names
-    names = {r.name for r in run_symbol_checks(PseudoSplineOrder(1.5, 1), resolution=256)}
-    assert "shift_phase_identity" not in names
 
 
 def test_cascade_suite_passes():
@@ -104,3 +99,99 @@ def test_frames_suite_passes_or_names_the_cap_across_the_box(alpha, beta, ell_fr
         assert "2^18" in str(exc)
         return
     assert all(r.passed for r in results), (order.label(), [r for r in results if not r.passed])
+
+
+# ---------------------------------------------------------------- every check can fail
+# Each test corrupts one check's input and sees that check fail, so no check
+# passes by construction.  The corruptions need no order off the arctan
+# condition.
+
+ORDER = PseudoSplineOrder(2.0, 1)
+
+
+def failed(results) -> list[str]:
+    return [r.name for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("name, field, delta", [("partition_min_matches_theta", "min", 1e-9),
+                                                ("partition_max_is_one", "max", 1e-11)])
+def test_shifted_extrema_fail_their_partition_check(name, field, delta):
+    ext = partition_extrema(ORDER, TorusGrid(256))
+    shifted = ext._replace(**{field: getattr(ext, field) + delta})
+    assert failed(run_symbol_checks(ORDER, 256, shifted)) == [name]
+
+
+def test_a_scaled_definition_form_fails_p_form_equivalence(monkeypatch):
+    eval_p = checks.eval_p
+
+    def scaled(order, x, form="taylor"):
+        p = eval_p(order, x, form=form)
+        return p * (1.0 + 1e-6) if form == "definition" else p
+
+    monkeypatch.setattr(checks, "eval_p", scaled)
+    assert failed(run_symbol_checks(ORDER, 256)) == ["p_form_equivalence"]
+
+
+def test_a_scaled_derivative_fails_q_prime_finite_difference(monkeypatch):
+    # the check's relative limit is 1e-6, so a 1e-6 scaling would sit on it
+    eval_q_prime = checks.eval_q_prime
+    monkeypatch.setattr(checks, "eval_q_prime", lambda order, x: eval_q_prime(order, x) * (1.0 + 1e-5))
+    assert failed(run_symbol_checks(ORDER, 256)) == ["q_prime_finite_difference"]
+
+
+@pytest.mark.parametrize(
+    "name, doctor",
+    [
+        ("l2_nonincreasing", lambda d: replace(d, l2_norms=[*d.l2_norms, d.l2_norms[-1] + 1e-9])),
+        ("l2_bounded_by_one", lambda d: replace(d, l2_norms=[x + 1e-9 for x in d.l2_norms])),
+        ("modulus_bounded_by_one", lambda d: replace(d, max_modulus=1.0 + 1e-11)),
+        ("final_sup_change", lambda d: replace(d, sup_changes=[*d.sup_changes[:-1], 1e-7])),
+    ],
+)
+def test_doctored_diagnostics_fail_their_cascade_check(monkeypatch, name, doctor):
+    run_cascade = checks.run_cascade
+
+    def doctored(*args, **kwargs):
+        profile, diag = run_cascade(*args, **kwargs)
+        return profile, doctor(diag)
+
+    monkeypatch.setattr(checks, "run_cascade", doctored)
+    assert failed(run_cascade_checks(ORDER, levels=16, window=32.0, step=1.0 / 32)) == [name]
+
+
+def perturb_a_tap(monkeypatch, band: int, delta: float) -> None:
+    """Make build_bank add delta to the middle tap of one band."""
+    build_bank = frames.build_bank
+
+    def perturbed(*args):
+        bank = build_bank(*args)
+        c = bank.coeffs[band]
+        values = c.values.copy()
+        values[len(values) // 2] += delta
+        return replace(bank, coeffs={**bank.coeffs, band: replace(c, values=values)})
+
+    monkeypatch.setattr(frames, "build_bank", perturbed)
+
+
+@pytest.mark.parametrize(
+    "name, band, delta",
+    [
+        ("uep_diagonal", 0, 1e-9),
+        # small enough to keep the diagonal within its limit
+        ("uep_offdiagonal", 0, 1e-12),
+        ("vanishing_moments", 2, 1e-9),
+        ("discrete_parseval", 0, 1e-6),
+        ("perfect_reconstruction", 0, 1e-6),
+    ],
+)
+def test_a_perturbed_tap_fails_its_frames_check(monkeypatch, name, band, delta):
+    perturb_a_tap(monkeypatch, band, delta)
+    results, _ = run_frames_checks(ORDER, signals=2)
+    assert name in failed(results)
+
+
+def test_a_scaled_sigma_fails_sigma_squared_equals_eta(monkeypatch):
+    eval_sigma = frames.eval_sigma
+    monkeypatch.setattr(frames, "eval_sigma", lambda order, gamma: eval_sigma(order, gamma) * (1.0 + 1e-6))
+    results, _ = run_frames_checks(ORDER, signals=2)
+    assert "sigma_squared_equals_eta" in failed(results)

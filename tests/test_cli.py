@@ -208,7 +208,7 @@ def test_verify_exit_code_on_failure(tmp_path, capsys):
     assert rc == 3
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == ["cascade.refinement_residual", "cascade.final_sup_change"]
-    assert "17/19 checks passed" in out
+    assert "13/15 checks passed" in out
 
 
 def test_verify_writes_its_report_when_a_suite_raises(tmp_path, capsys):
@@ -219,8 +219,8 @@ def test_verify_writes_its_report_when_a_suite_raises(tmp_path, capsys):
     assert "partition |H0(gamma)|^2 + |H0(gamma+1/2)|^2 exceeds 1 for z=1.0 ell=1" in err
     assert "FAIL frames.error: partition |H0(gamma)|^2" in out
     report = json.loads((tmp_path / "verify_report.json").read_text())
-    assert len(report["suites"]["symbol"]) >= 6
-    assert len(report["suites"]["cascade"]) == 6
+    assert len(report["suites"]["symbol"]) == 4
+    assert len(report["suites"]["cascade"]) == 5
     (entry,) = report["suites"]["frames"]
     assert entry["name"] == "error" and entry["passed"] is False
     assert "exceeds 1 for z=1.0 ell=1" in entry["error"]
@@ -234,9 +234,33 @@ def test_verify_without_test_signals_reports_a_frames_error(tmp_path, capsys, si
     assert "frames_resolution=None" in out.splitlines()
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["frames_resolution"] is None
-    assert len(report["suites"]["cascade"]) == 6
+    assert len(report["suites"]["cascade"]) == 5
     (entry,) = report["suites"]["frames"]
     assert entry["name"] == "error" and entry["passed"] is False
+
+
+def test_verify_with_a_negative_seed_reports_a_frames_error(tmp_path, capsys):
+    rc, out, err = run(["verify", "--z", "2", "--ell", "1", "--signals", "2", "--seed", "-1"], tmp_path, capsys)
+    assert rc == 2
+    assert "the frames suite needs a seed >= 0, got -1" in err
+    assert "frames_resolution=None" in out.splitlines()
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["frames_resolution"] is None
+    assert len(report["suites"]["symbol"]) == 4 and len(report["suites"]["cascade"]) == 5
+    (entry,) = report["suites"]["frames"]
+    assert entry["name"] == "error" and entry["passed"] is False
+
+
+def test_verify_on_a_bad_symbol_grid_reports_a_symbol_error(tmp_path, capsys):
+    rc, out, err = run(["verify", "--z", "2", "--ell", "1", "--grid", "100", "--signals", "2"], tmp_path, capsys)
+    assert rc == 2
+    assert "grid resolution must be a power of two >= 4, got 100" in err
+    assert not any(line.startswith("partition") for line in out.splitlines())
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["partition"] is None
+    (entry,) = report["suites"]["symbol"]
+    assert entry["name"] == "error" and "got 100" in entry["error"]
+    assert len(report["suites"]["cascade"]) == 5 and len(report["suites"]["frames"]) == 6
 
 
 def test_verify_passes_for_a_shifted_order(tmp_path, capsys):

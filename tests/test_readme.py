@@ -11,6 +11,8 @@ import pytest
 
 import pseudosplines
 from pseudosplines import cli, errors, frames
+from pseudosplines.checks import run_all
+from pseudosplines.symbol import PseudoSplineOrder
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -86,3 +88,13 @@ def test_every_flag_the_readme_names_is_a_cli_option():
     }
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text())) - {"--no-build-isolation"}
     assert sorted(named - options) == []
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_readme_lists_the_checks_verify_runs(shift):
+    text = README.read_text()
+    section = text[text.index("`verify` runs ") : text.index("`verify` always writes")]
+    listed = re.findall(r"`((?:symbol|cascade|frames)\.\w+)`", section)
+    suites, _ = run_all(PseudoSplineOrder(2.0, 1, shift=shift), signals=2, signal_length=64)
+    assert listed == [f"{suite}.{r.name}" for suite, results in suites.items() for r in results]
+    assert section.startswith(f"`verify` runs {len(listed)} checks in three suites")

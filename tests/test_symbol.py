@@ -20,7 +20,6 @@ from pseudosplines.symbol import (
     eval_p,
     eval_q,
     eval_q_prime,
-    lipschitz_check,
     max_ell,
     partition_extrema,
     partition_values,
@@ -319,9 +318,3 @@ def test_shift_leaves_the_partition_unchanged():
     ps = partition_values(sample_H0(shifted, TorusGrid(512)))
     assert np.abs(pb - ps).max() < 1e-13
 
-
-def test_lipschitz_constant_is_finite_and_modest():
-    for order in (PseudoSplineOrder(1.0, 0), PseudoSplineOrder(1.5, 1, shift=0.5)):
-        c = lipschitz_check(order, TorusGrid(1024))
-        assert math.isfinite(c)
-        assert c < 1e3
