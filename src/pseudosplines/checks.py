@@ -121,14 +121,11 @@ def run_frames_checks(
     order: PseudoSplineOrder,
     resolution: int | None = None,
     truncation_eps: float = 1e-10,
-    signals: int = 50,
     signal_length: int = 1024,
     seed: int = 7,
 ) -> tuple[list[CheckResult], int]:
     """The frames suite and its bank's resolution: TorusGrid(resolution), or
     the grid build_bank sizes to the order when resolution is None."""
-    if signals < 1:
-        raise DomainError(f"the frames suite needs at least 1 test signal, got {signals}")
     if seed < 0:
         raise DomainError(f"the frames suite needs a seed >= 0, got {seed}")
     frames._require_length(signal_length)
@@ -152,21 +149,27 @@ def run_frames_checks(
                for n in (1, 2, 3)]
     results.append(min(moments, key=lambda r: r.margin))
 
-    limit = max(1e-8, 10.0 * truncation_eps)
-    # row i is standard_normal(n) + 1j * standard_normal(n), drawn in that
-    # order; the rows run as one batch
-    noise = np.random.default_rng(seed).standard_normal((signals, 2, signal_length))
-    data = np.empty((signals, signal_length), dtype=complex)
-    data.real = noise[:, 0]
-    data.imag = noise[:, 1]
-    details, approx, back = frames._round_trip(bank, data, 1)
-    energies = sum(np.vecdot(band.view(float), band.view(float)) for band in (approx, *details[0]))
-    inputs = np.vecdot(data.view(float), data.view(float))
-    worst_energy = float(np.max(np.abs(energies - inputs) / inputs, initial=0.0))
-    errors = np.linalg.norm(back - data, axis=-1) / np.sqrt(inputs)
-    worst_roundtrip = float(np.max(errors, initial=0.0))
-    results.append(CheckResult("discrete_parseval", worst_energy, limit))
-    results.append(CheckResult("perfect_reconstruction", worst_roundtrip, limit))
+    # One level of analysis then synthesis acts on each pair of DFT bins
+    # (w, w + n/2) of a length-n signal as the Hermitian matrix
+    # [[P(w), O(w)], [conj O(w), P(w + n/2)]]: P is the bands' power sum and
+    # O their cross sum, from the taps folded onto n points.  The largest
+    # spectral radius of that matrix minus I is both the worst |energy ratio
+    # - 1| and the worst relative reconstruction error over every signal.
+    n = signal_length
+    spectra = frames._tap_spectra([bank.coeffs[b] for b in range(4)], n, 0)
+    power = np.sum(spectra.real**2 + spectra.imag**2, axis=0) - 1.0
+    a, d = power[: n // 2], power[n // 2 :]
+    cross = np.abs(np.sum(spectra[:, : n // 2] * np.conj(spectra[:, n // 2 :]), axis=0))
+    defect = float(np.max(np.abs(a + d) / 2 + np.hypot((a - d) / 2, cross)))
+    results.append(CheckResult("discrete_parseval", defect, max(1e-8, 10.0 * truncation_eps)))
+
+    # the engine against the same taps: one seeded signal comes back within
+    # the defect, plus rounding
+    real, imag = np.random.default_rng(seed).standard_normal((2, n))
+    x = real + 1j * imag
+    _, _, back = frames._round_trip(bank, x, 1)
+    error = float(np.linalg.norm(back - x) / np.linalg.norm(x))
+    results.append(CheckResult("perfect_reconstruction", error, defect + 1e-13))
     return results, bank.grid.resolution
 
 
@@ -186,7 +189,6 @@ def run_all(
     window: float = 64.0,
     step: float = 1.0 / 64.0,
     truncation_eps: float = 1e-10,
-    signals: int = 50,
     signal_length: int = 1024,
     seed: int = 7,
     extrema: PartitionExtrema | None = None,
@@ -202,9 +204,7 @@ def run_all(
         "cascade": _suite(run_cascade_checks, order, levels, window, step),
     }
     try:
-        suites["frames"], resolution = run_frames_checks(
-            order, frames_resolution, truncation_eps, signals, signal_length, seed
-        )
+        suites["frames"], resolution = run_frames_checks(order, frames_resolution, truncation_eps, signal_length, seed)
     except PseudoSplineError as exc:
         suites["frames"], resolution = [CheckResult("error", math.inf, 0.0, exc)], None
     return suites, resolution

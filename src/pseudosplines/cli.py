@@ -259,7 +259,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         window=ns.window,
         step=_to_step(ns.step),
         truncation_eps=ns.eps,
-        signals=ns.signals,
         signal_length=ns.signal_length,
         seed=ns.seed,
         extrema=ext,
@@ -451,7 +450,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--grid", type=int, default=4096)
     sub.add_argument("--frames-grid", type=int, default=None, help="bank resolution (default: automatic)")
     sub.add_argument("--eps", type=float, default=1e-10)
-    sub.add_argument("--signals", type=int, default=50)
     sub.add_argument("--signal-length", type=int, default=1024)
     sub.add_argument("--seed", type=int, default=7)
     subs["verify"] = sub

@@ -277,7 +277,7 @@ def test_criterion_9_cli_exit_codes(tmp_path, capsys):
     assert (
         cli.main(
             ["verify", "--z", "1", "--ell", "0", "--grid", "256", "--frames-grid", "512",
-             "--signals", "5", "--levels", "3", "--out", out]
+             "--levels", "3", "--out", out]
         )
         == 3
     )

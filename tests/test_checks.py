@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -32,7 +33,7 @@ def test_check_result_semantics():
 
 def test_sized_bank_grid_is_the_least_that_meets_eps():
     for order in VERIFY_SWEEP:
-        results, n = run_frames_checks(order, signals=5)
+        results, n = run_frames_checks(order)
         assert all(r.passed for r in results), (order.label(), [r for r in results if not r.passed])
         if n > 64:
             with pytest.raises(ToleranceError):
@@ -51,9 +52,40 @@ def test_cascade_suite_passes():
 
 
 def test_frames_suite_passes():
-    results, n = run_frames_checks(PseudoSplineOrder(2.0, 1), resolution=1024, signals=10)
+    results, n = run_frames_checks(PseudoSplineOrder(2.0, 1), resolution=1024)
     assert n == 1024
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+@pytest.mark.parametrize(
+    "order, delta",
+    [(PseudoSplineOrder(1.0, 0), 0.0), (PseudoSplineOrder(1.5, 0), 0.0), (PseudoSplineOrder(3.2 + 1.0j, 2), 0.0),
+     (PseudoSplineOrder(2.0, 1, shift=0.5), 0.0), (PseudoSplineOrder(2.0, 1), 1e-6)],
+    ids=lambda v: v.label() if isinstance(v, PseudoSplineOrder) else f"delta={v}",
+)
+def test_discrete_parseval_reads_the_exact_one_level_defect(monkeypatch, order, delta):
+    # (1.5, 0)'s taps reach radius 402, so they wrap many times onto 64
+    # points; the shipped taps cancel the cross sum O to rounding, so a
+    # perturbed tap makes it count
+    if delta:
+        perturb_a_tap(monkeypatch, 0, delta)
+    n = 64
+    results, _ = run_frames_checks(order, signal_length=n)
+    (defect,) = [r.observed for r in results if r.name == "discrete_parseval"]
+    bank = frames.build_bank(order, None, 1e-10)
+    # the 2x2 modulation matrices minus I, one per pair of DFT bins (w, w + n/2)
+    spectra = frames._tap_spectra([bank.coeffs[b] for b in range(4)], n, 0)
+    top, bottom = spectra[:, : n // 2], spectra[:, n // 2 :]
+    m = np.empty((n // 2, 2, 2), dtype=complex)
+    m[:, 0, 0] = np.sum(np.abs(top) ** 2, axis=0) - 1.0
+    m[:, 1, 1] = np.sum(np.abs(bottom) ** 2, axis=0) - 1.0
+    m[:, 0, 1] = np.sum(top * np.conj(bottom), axis=0)
+    m[:, 1, 0] = np.conj(m[:, 0, 1])
+    assert abs(defect - np.max(np.linalg.svd(m, compute_uv=False))) <= 1e-14
+    # the dense one-level operator S - I, one engine round trip per unit vector
+    eye = np.eye(n, dtype=complex)
+    _, _, back = frames._round_trip(bank, eye, 1)
+    assert abs(defect - np.linalg.norm(back - eye, 2)) <= 1e-14
 
 
 def test_a_cascade_cut_short_fails_its_checks():
@@ -70,7 +102,6 @@ def test_run_all_reports_three_suites():
         levels=18,
         window=16.0,
         step=1.0 / 16,
-        signals=5,
         signal_length=256,
     )
     assert frames_resolution == 512
@@ -94,7 +125,7 @@ def test_frames_suite_passes_or_names_the_cap_across_the_box(alpha, beta, ell_fr
     order = PseudoSplineOrder(complex(alpha, beta), int(ell_fraction * max_ell(alpha)), shift=shift)
     assume(lowpass_condition(order)[0])
     try:
-        results, _ = run_frames_checks(order, signals=5)
+        results, _ = run_frames_checks(order)
     except ToleranceError as exc:
         assert "2^18" in str(exc)
         return
@@ -181,17 +212,37 @@ def perturb_a_tap(monkeypatch, band: int, delta: float) -> None:
         ("uep_offdiagonal", 0, 1e-12),
         ("vanishing_moments", 2, 1e-9),
         ("discrete_parseval", 0, 1e-6),
-        ("perfect_reconstruction", 0, 1e-6),
     ],
 )
 def test_a_perturbed_tap_fails_its_frames_check(monkeypatch, name, band, delta):
     perturb_a_tap(monkeypatch, band, delta)
-    results, _ = run_frames_checks(ORDER, signals=2)
+    results, _ = run_frames_checks(ORDER)
     assert name in failed(results)
+
+
+def test_a_perturbed_tap_leaves_perfect_reconstruction_passing(monkeypatch):
+    # the engine runs the perturbed taps, whose defect the limit takes in
+    perturb_a_tap(monkeypatch, 0, 1e-6)
+    results, _ = run_frames_checks(ORDER)
+    assert "discrete_parseval" in failed(results) and "perfect_reconstruction" not in failed(results)
+
+
+def test_a_corrupted_engine_fails_perfect_reconstruction_alone(monkeypatch):
+    # the linear spline's taps are finite, so its defect is at rounding and
+    # an engine error of 1e-12, 1e4 times below the old fixed limit, shows
+    round_trip = frames._round_trip
+
+    def corrupted(bank, batch, levels):
+        details, approx, back = round_trip(bank, batch, levels)
+        return details, approx, back * (1.0 + 1e-12)
+
+    monkeypatch.setattr(frames, "_round_trip", corrupted)
+    results, _ = run_frames_checks(PseudoSplineOrder(1.0, 0))
+    assert failed(results) == ["perfect_reconstruction"]
 
 
 def test_a_scaled_sigma_fails_sigma_squared_equals_eta(monkeypatch):
     eval_sigma = frames.eval_sigma
     monkeypatch.setattr(frames, "eval_sigma", lambda order, gamma: eval_sigma(order, gamma) * (1.0 + 1e-6))
-    results, _ = run_frames_checks(ORDER, signals=2)
+    results, _ = run_frames_checks(ORDER)
     assert "sigma_squared_equals_eta" in failed(results)

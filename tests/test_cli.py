@@ -182,7 +182,7 @@ def test_cascade_time_window_too_small_is_a_tolerance_error(tmp_path, capsys):
 def test_verify_passes_and_reports_the_partition(tmp_path, capsys):
     rc, out, _ = run(
         ["verify", "--z", "1", "--ell", "0", "--grid", "512", "--frames-grid", "1024",
-         "--signals", "10", "--levels", "18"],
+         "--levels", "18"],
         tmp_path,
         capsys,
     )
@@ -201,7 +201,7 @@ def test_verify_exit_code_on_failure(tmp_path, capsys):
     # three cascade levels leave phi_hat far from its limit
     rc, out, _ = run(
         ["verify", "--z", "1", "--ell", "0", "--grid", "256", "--frames-grid", "512",
-         "--signals", "5", "--levels", "3"],
+         "--levels", "3"],
         tmp_path,
         capsys,
     )
@@ -214,7 +214,7 @@ def test_verify_exit_code_on_failure(tmp_path, capsys):
 def test_verify_writes_its_report_when_a_suite_raises(tmp_path, capsys):
     # (1, 1) has a partition above 1, so building its bank raises
     # ConsistencyError; the symbol and cascade results must still be reported
-    rc, out, err = run(["verify", "--z", "1", "--ell", "1", "--signals", "2"], tmp_path, capsys)
+    rc, out, err = run(["verify", "--z", "1", "--ell", "1"], tmp_path, capsys)
     assert rc == 3
     assert "partition |H0(gamma)|^2 + |H0(gamma+1/2)|^2 exceeds 1 for z=1.0 ell=1" in err
     assert "FAIL frames.error: partition |H0(gamma)|^2" in out
@@ -226,21 +226,18 @@ def test_verify_writes_its_report_when_a_suite_raises(tmp_path, capsys):
     assert "exceeds 1 for z=1.0 ell=1" in entry["error"]
 
 
-@pytest.mark.parametrize("signals", ["0", "-1"])
-def test_verify_without_test_signals_reports_a_frames_error(tmp_path, capsys, signals):
-    rc, out, err = run(["verify", "--z", "2", "--ell", "1", "--signals", signals], tmp_path, capsys)
+@pytest.mark.parametrize("signals", [0, -1])
+def test_verify_has_no_signals_option(tmp_path, capsys, signals):
+    # the frames suite reads the exact defect over every signal, so the
+    # count of random test signals that --signals set is gone
+    (tmp_path / "run.json").write_text(json.dumps({"z": 2, "ell": 1, "signals": signals}))
+    rc, _, err = run(["verify", "--config", str(tmp_path / "run.json")], tmp_path, capsys)
     assert rc == 2
-    assert f"the frames suite needs at least 1 test signal, got {signals}" in err
-    assert "frames_resolution=None" in out.splitlines()
-    report = json.loads((tmp_path / "verify_report.json").read_text())
-    assert report["frames_resolution"] is None
-    assert len(report["suites"]["cascade"]) == 5
-    (entry,) = report["suites"]["frames"]
-    assert entry["name"] == "error" and entry["passed"] is False
+    assert "unknown config keys: signals" in err
 
 
 def test_verify_with_a_negative_seed_reports_a_frames_error(tmp_path, capsys):
-    rc, out, err = run(["verify", "--z", "2", "--ell", "1", "--signals", "2", "--seed", "-1"], tmp_path, capsys)
+    rc, out, err = run(["verify", "--z", "2", "--ell", "1", "--seed", "-1"], tmp_path, capsys)
     assert rc == 2
     assert "the frames suite needs a seed >= 0, got -1" in err
     assert "frames_resolution=None" in out.splitlines()
@@ -252,7 +249,7 @@ def test_verify_with_a_negative_seed_reports_a_frames_error(tmp_path, capsys):
 
 
 def test_verify_on_a_bad_symbol_grid_reports_a_symbol_error(tmp_path, capsys):
-    rc, out, err = run(["verify", "--z", "2", "--ell", "1", "--grid", "100", "--signals", "2"], tmp_path, capsys)
+    rc, out, err = run(["verify", "--z", "2", "--ell", "1", "--grid", "100"], tmp_path, capsys)
     assert rc == 2
     assert "grid resolution must be a power of two >= 4, got 100" in err
     assert not any(line.startswith("partition") for line in out.splitlines())
@@ -264,7 +261,7 @@ def test_verify_on_a_bad_symbol_grid_reports_a_symbol_error(tmp_path, capsys):
 
 
 def test_verify_passes_for_a_shifted_order(tmp_path, capsys):
-    rc, out, _ = run(["verify", "--z", "2", "--ell", "1", "--shift", "0.5", "--signals", "2"], tmp_path, capsys)
+    rc, out, _ = run(["verify", "--z", "2", "--ell", "1", "--shift", "0.5"], tmp_path, capsys)
     assert rc == 0
     assert "FAIL" not in out
     assert "frames_resolution=1024" in out.splitlines()
@@ -272,14 +269,14 @@ def test_verify_passes_for_a_shifted_order(tmp_path, capsys):
 
 def test_verify_sizes_the_bank_up_to_the_cap(tmp_path, capsys):
     # band 0 of (1.044+8.21i, 0) needs a tap radius near 40,000 for eps 1e-10
-    rc, out, _ = run(["verify", "--z", "1.044+8.21i", "--ell", "0", "--signals", "2"], tmp_path, capsys)
+    rc, out, _ = run(["verify", "--z", "1.044+8.21i", "--ell", "0"], tmp_path, capsys)
     assert rc == 0
     assert "FAIL" not in out
     assert json.loads((tmp_path / "verify_report.json").read_text())["frames_resolution"] == 2**18
 
 
 def test_verify_past_the_cap_is_a_tolerance_error(tmp_path, capsys):
-    rc, out, err = run(["verify", "--z", "1+50i", "--ell", "0", "--signals", "2"], tmp_path, capsys)
+    rc, out, err = run(["verify", "--z", "1+50i", "--ell", "0"], tmp_path, capsys)
     assert rc == 4
     assert "the automatic bank grid stops at 2^18 = 262144 points" in err
     assert "FAIL frames.error: band 0: discarded-tail norm" in out
@@ -629,8 +626,8 @@ PARITY = {
                    "eps": 1e-8, "psi_window": 2, "with_time": False}, {"psi_window": 1}),
     "transform": ({"bank": "bank.json", "input": "signal.csv", "levels": 2, "roundtrip": True},
                   {"levels": 1}),
-    "verify": ({"z": "2", "ell": 1, "shift": -0.5, **CASCADE, "grid": 256, "signals": 2,
-                "signal_length": 64, "seed": 5}, {"seed": 3}),
+    "verify": ({"z": "2", "ell": 1, "shift": -0.5, **CASCADE, "grid": 256, "signal_length": 64,
+                "seed": 5}, {"seed": 3}),
     "analyze": ({"z": "2", "ell": 1, "shift": -0.5, **CASCADE, "no_fits": True}, {"ell": 0}),
     "sweep": ({"orders": "2,1,-0.5;3.2+1i,0", **CASCADE, "grid": 256, "with_fits": False},
               {"orders": "2,1,-0.5"}),

@@ -95,6 +95,6 @@ def test_readme_lists_the_checks_verify_runs(shift):
     text = README.read_text()
     section = text[text.index("`verify` runs ") : text.index("`verify` always writes")]
     listed = re.findall(r"`((?:symbol|cascade|frames)\.\w+)`", section)
-    suites, _ = run_all(PseudoSplineOrder(2.0, 1, shift=shift), signals=2, signal_length=64)
+    suites, _ = run_all(PseudoSplineOrder(2.0, 1, shift=shift), signal_length=64)
     assert listed == [f"{suite}.{r.name}" for suite, results in suites.items() for r in results]
     assert section.startswith(f"`verify` runs {len(listed)} checks in three suites")
