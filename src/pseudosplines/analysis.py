@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import Profile, run_cascade
+from .cascade import Profile, _cascade_grid, run_cascade
 from .errors import ConditionError, WindowError
 from .symbol import PseudoSplineOrder, eval_H0, kappa, theta_bound
 
@@ -196,8 +196,10 @@ def full_report(
     fits wherever the lowpass condition holds.  The zero-order fit is left
     out where the zero is too flat to resolve.  All quantities are
     shift-invariant; fits run on the unshifted order, so a shifted order
-    reproduces the unshifted report exactly.
+    reproduces the unshifted report exactly.  Invalid cascade options raise
+    run_cascade's errors even when no cascade runs.
     """
+    _cascade_grid(levels, window, step)
     ok, arctan_sum = lowpass_condition(order)
     report = AnalysisReport(
         order=order,

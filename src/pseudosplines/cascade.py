@@ -21,9 +21,12 @@ Level 1 evaluates M+1 points and each later level (M+1)//2, instead of
 2M+1 per level.  The values are those of evaluating every 2^{-j} gamma_k
 directly, bit for bit.
 
-Diagnostics record, per level, the sup-norm change against the previous
-iterate and a trapezoidal L2 norm taken over the level's support interval;
-the L2 sequence is non-increasing and bounded by 1 for every valid order.
+The half grid k*step, k = 0..M, is increasing from 0, so each level's
+support |gamma| <= min(2^{m-1}, M*step) is a prefix k < K of it: the
+iterate is cut by zeroing from K on, and its diagnostics read that prefix
+alone.  They record, per level, the sup-norm change against the previous
+iterate and a trapezoidal L2 norm taken over the support interval; the L2
+sequence is non-increasing and bounded by 1 for every valid order.
 
 For shifted orders (u != 0) the cascade runs on the unshifted order and the
 final values are multiplied once by the exact translation phase
@@ -131,23 +134,35 @@ def _grid(window: float, step: float) -> np.ndarray:
     return (np.arange(2 * m + 1) - m) * step
 
 
-def _support_mask(gammas: np.ndarray, bound: float, step: float) -> np.ndarray:
-    return np.abs(gammas) <= bound + 1e-9 * step
+def _cascade_grid(levels: int, window: float, step: float) -> np.ndarray:
+    """The frequency grid of a run of `levels` levels: a count below 1 raises
+    DomainError, and a window or step that makes no grid _grid's errors.
+    Callers that may skip the cascade call it to reject its options anyway."""
+    if not isinstance(levels, (int, np.integer)) or levels < 1:
+        raise DomainError(f"levels must be an integer >= 1, got {levels!r}")
+    return _grid(window, step)
 
 
-def _support_l2(half: np.ndarray, values: np.ndarray, bound: float, step: float) -> float:
-    """Trapezoidal L2 norm over [-bound, bound] intersected with the grid.
+def _prefix(half: np.ndarray, bound: float, step: float) -> int:
+    """How many points of the increasing half grid `half` (from 0) lie in
+    the support |gamma| <= bound: the support is the prefix half[:k]."""
+    return int(np.searchsorted(half, bound + 1e-9 * step, side="right"))
 
-    `values` are given on the half grid `half` = k*step, k >= 0, of an
-    iterate symmetric about 0; the sum runs over the mirrored full-length
-    samples, so it rounds exactly as the sum over the full grid does.
+
+def _trapezoid_l2(modulus: np.ndarray, step: float) -> float:
+    """Trapezoidal L2 norm of an iterate symmetric about 0 over its support,
+    from the moduli at k*step, k = 0..K, inside it.
+
+    The squares are mirrored to the full-length samples and summed as one
+    array, so the sum rounds exactly as the sum over the full grid does.
+    Its two ends take weight 1/2; a one-point support is halved once.
     """
-    sq = np.abs(values[_support_mask(half, bound, step)]) ** 2
+    sq = modulus**2
     sq = np.concatenate((sq[:0:-1], sq))
-    w = np.ones(len(sq))
-    w[0] = 0.5
-    w[-1] = 0.5
-    return float(math.sqrt(np.sum(w * sq) * step))
+    sq[0] *= 0.5
+    if len(sq) > 1:
+        sq[-1] *= 0.5
+    return float(math.sqrt(np.sum(sq) * step))
 
 
 def run_cascade(
@@ -172,11 +187,9 @@ def run_cascade(
     mirrored full-length samples, so values and diagnostics are bit for bit
     those of the full-grid iteration.
     """
-    if not isinstance(levels, (int, np.integer)) or levels < 1:
-        raise DomainError(f"levels must be an integer >= 1, got {levels!r}")
+    g = _cascade_grid(levels, window, step)
     if not (math.isfinite(sup_tolerance) and sup_tolerance >= 0.0):
         raise DomainError(f"sup_tolerance must be finite and >= 0, got {sup_tolerance!r}")
-    g = _grid(window, step)
     half = g[(len(g) - 1) // 2 :]
     extent = float(half[-1])
     base = order.unshifted
@@ -185,9 +198,11 @@ def run_cascade(
     # min(2^(m-1), extent) at level m, by exact doubling: no float power, so
     # no overflow however many levels run
     bound = 0.5
-    prev = _support_mask(half, bound, step).astype(complex)
-    diag.l2_norms.append(_support_l2(half, prev, bound, step))
-    diag.max_modulus = float(np.max(np.abs(prev)))
+    k = _prefix(half, bound, step)
+    prev = np.zeros(len(half), dtype=complex)
+    prev[:k] = 1.0
+    diag.l2_norms.append(_trapezoid_l2(np.abs(prev[:k]), step))
+    diag.max_modulus = 1.0
 
     prod = np.ones(len(half), dtype=complex)
     current = prev
@@ -199,13 +214,16 @@ def run_cascade(
             h = np.empty(len(half), dtype=complex)
             h[0::2] = even
             h[1::2] = eval_H0(base, half[1::2] * 0.5**m)
-        prod = prod * h
-        current = prod.copy()
+        prod *= h
         bound = min(2.0 * bound, extent)
-        current[~_support_mask(half, bound, step)] = 0.0
-        diag.sup_changes.append(float(np.max(np.abs(current - prev))))
-        diag.l2_norms.append(_support_l2(half, current, bound, step))
-        diag.max_modulus = max(diag.max_modulus, float(np.max(np.abs(current))))
+        k = _prefix(half, bound, step)
+        current = prod.copy()
+        current[k:] = 0.0
+        # both iterates vanish past k, so the prefix holds every nonzero term
+        modulus = np.abs(current[:k])
+        diag.sup_changes.append(float(np.max(np.abs(current[:k] - prev[:k]))))
+        diag.l2_norms.append(_trapezoid_l2(modulus, step))
+        diag.max_modulus = max(diag.max_modulus, float(np.max(modulus)))
         diag.levels = m
         prev = current
         if diag.sup_changes[-1] < sup_tolerance:
@@ -237,13 +255,13 @@ def refinement_residual(profile: Profile) -> float:
     g = profile.points
     v = profile.values
     mid = (len(v) - 1) // 2
-    half = profile.half_width / 2.0
-    js = np.arange(-mid, mid + 1)
-    sel = (js % 2 == 0) & _support_mask(g, half, profile.step)
-    idx = np.nonzero(sel)[0]
-    half_idx = (js[idx] // 2) + mid
-    h = eval_H0(profile.order, g[idx] * 0.5)
-    return float(np.max(np.abs(v[idx] - h * v[half_idx])))
+    # even offsets j = 2i, |j * step| <= half_width / 2, pair with i; the
+    # axis is symmetric about index mid, so they are mid - 2r .. mid + 2r
+    limit = profile.half_width / 2.0 + 1e-9 * profile.step
+    r = int(np.searchsorted(g[mid::2], limit, side="right")) - 1
+    h = eval_H0(profile.order, g[mid - 2 * r : mid + 2 * r + 1 : 2] * 0.5)
+    paired = v[mid - 2 * r : mid + 2 * r + 1 : 2]
+    return float(np.max(np.abs(paired - h * v[mid - r : mid + r + 1])))
 
 
 def _uniform_step(x: np.ndarray, name: str) -> float:
@@ -325,6 +343,9 @@ def to_time_domain(
 ) -> Profile:
     """Time-domain samples by inverse trapezoid sum over the profile window.
 
+    When the profile's values are even about gamma = 0 bit for bit, as an
+    unshifted cascade's are, so is the result: phi(t) is stored as phi(-t).
+
     The spectrum outside the window is dropped; the induced absolute error
     is estimated from the envelope decay of |phi_hat| and must not exceed
     `tolerance`, otherwise a ToleranceError asks for a wider window; a
@@ -344,5 +365,13 @@ def to_time_domain(
         )
     n = int(math.ceil(half_width / step - 1e-9))
     ts = (np.arange(2 * n + 1) - n) * step
-    values = fourier_to_time(profile.points, profile.values, ts)
+    spectrum = profile.values
+    if np.array_equal(spectrum, spectrum[::-1]):
+        # an even spectrum (an unshifted cascade's, bit for bit) has an even
+        # inverse: the rows t <= 0 are summed and mirrored (t_0 = 0 would
+        # make the first phase a mod of zeros, which numpy takes slowly)
+        values = fourier_to_time(profile.points, spectrum, ts[: n + 1])
+        values = np.concatenate((values, values[-2::-1]))
+    else:
+        values = fourier_to_time(profile.points, spectrum, ts)
     return Profile(profile.order, float(n * step), step, values, tail_estimate=tail)

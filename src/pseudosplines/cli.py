@@ -26,7 +26,7 @@ import numpy as np
 
 from . import frames
 from .analysis import full_report
-from .cascade import run_cascade, to_time_domain
+from .cascade import _cascade_grid, run_cascade, to_time_domain
 from .checks import run_all
 from .errors import (
     ConditionError,
@@ -186,6 +186,8 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
 
 def cmd_framelets(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
+    step = _to_step(ns.step)
+    _cascade_grid(ns.levels, ns.window, step)
     bank = frames.build_bank(order, TorusGrid(ns.grid), truncation_eps=ns.eps)
     outdir = _outdir(ns)
     bank_path = os.path.join(outdir, "bank.json")
@@ -199,7 +201,6 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
             f"aliasing={format_float(c.aliasing_estimate)}\n"
         )
     if ns.with_hats or ns.with_time:
-        step = _to_step(ns.step)
         cascade = functools.partial(run_cascade, order, levels=ns.levels, sup_tolerance=ns.sup_tolerance)
     if ns.with_hats:
         # phi_hat on the gamma/2 points of the psi_hat grid k * step, |k * step| <= psi_window
@@ -330,6 +331,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     """One entry per order; an order that raises gets an `error` entry, and
     the first error is raised once the report is written, as in verify."""
     orders = _parse_orders(ns.orders)
+    step = _to_step(ns.step)
+    _cascade_grid(ns.levels, ns.window, step)  # shared by every order, so rejected once up front
     entries, errors = [], []
     for order in orders:
         try:
@@ -344,7 +347,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 with_fits=ns.with_fits,
                 levels=ns.levels,
                 window=ns.window,
-                step=_to_step(ns.step),
+                step=step,
             )
         except PseudoSplineError as exc:
             errors.append(exc)

@@ -303,10 +303,14 @@ _GRID_CAP = 2**18
 
 def _bank_on(order: PseudoSplineOrder, grid: TorusGrid, eps: float, remedy: str) -> FrameletBank:
     """Bands 0 and 2 cut from their samples, and 1 and 3 derived by the tap forms
-    h1_k = -(-1)^k conj(h0_{1-k}) and h3_k = h2_{k-1}, taking their partners' tails."""
-    h0, _, h2, _ = sample_bank(order, grid)
-    c0 = _coeffs_from_samples(0, h0.values, eps, remedy)
-    c2 = _coeffs_from_samples(2, h2.values, eps, remedy)
+    h1_k = -(-1)^k conj(h0_{1-k}) and h3_k = h2_{k-1}, taking their partners' tails.
+
+    Only the two cut bands are sampled, with sample_bank's checks and values."""
+    require_frame(order)
+    h0 = eval_H0(order, grid.gamma)
+    h2 = eval_sigma(order, grid.gamma) / math.sqrt(2.0)
+    c0 = _coeffs_from_samples(0, h0, eps, remedy)
+    c2 = _coeffs_from_samples(2, h2, eps, remedy)
     c1 = replace(c0, offset=2 - c0.offset - len(c0.values), values=np.conj(c0.values[::-1]))
     c1 = replace(c1, values=np.where(c1.ks % 2 == 1, c1.values, -c1.values))
     c3 = replace(c2, offset=c2.offset + 1)
@@ -428,7 +432,10 @@ class PeriodicSignal:
 # calling thread pop them from one deque until it is empty.  A caller never
 # waits on another caller's tasks: if the worker has not started on this
 # call's deque when the caller's own pass over it ends, the caller cancels
-# the worker's pass.  The executor starts at the first transform; a forked
+# the worker's pass.  A call of one task (a level of one block and one row,
+# such as verify's 1024-sample round trip) runs it on the calling thread and
+# leaves the worker asleep: waking it costs more than such a task.  The
+# executor starts at the first transform of more than one task; a forked
 # child, which inherits the executor but not its thread (and perhaps a held
 # lock), starts its own.  Once interpreter shutdown has begun (in an atexit
 # hook, say) the executor takes no work and the caller runs every task.
@@ -459,10 +466,14 @@ def _drain(tasks: deque, errors: list) -> None:
 def _run_tasks(tasks) -> None:
     """Call every task (functools.partial) on the calling thread and the
     worker, and return once all have finished, raising the first error of
-    any; none runs after the call returns.  A task must not wait for
-    another: it could be waiting for its own thread."""
+    any; none runs after the call returns.  A lone task runs on the calling
+    thread alone, and its error propagates as it is.  A task must not wait
+    for another: it could be waiting for its own thread."""
     global _executor
     tasks, errors = deque(tasks), []
+    if len(tasks) == 1:
+        tasks[0]()
+        return
     with _executor_lock:
         if _executor is None:
             _executor = ThreadPoolExecutor(1, thread_name_prefix="pseudosplines")

@@ -256,21 +256,30 @@ def _p_taylor(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
 
 
 def _q(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
-    """q(x) = (1-x)^z p(x) for an array x already checked to lie in [0, 1]."""
+    """q(x) = (1-x)^z p(x) for an array x already checked to lie in [0, 1].
+
+    One pass over the whole array: at x = 1, log1p(-1) = -inf makes exp a
+    zero of unspecified sign (C99 Annex G), so q(1) is then set to an exact
+    +0, as if only x < 1 had been evaluated.  The product keeps the
+    operand order exp(.) * p, as complex multiplication rounds differently
+    with its operands swapped.
+    """
     p = _p_taylor(order, x)
-    out = np.zeros(x.shape, dtype=complex)
-    interior = x < 1.0
-    out[interior] = np.exp(order.z * np.log1p(-x[interior])) * p[interior]
+    out = np.empty(x.shape, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(order.z, np.log1p(-x), out=out)
+        np.exp(out, out=out)
+    out *= p
+    out[x >= 1.0] = 0.0
     return out
 
 
 def _abs_q_squared(order: PseudoSplineOrder, x: np.ndarray) -> np.ndarray:
     """|q(x)|^2 = (1-x)^{2 alpha} |p(x)|^2, elementwise on [0, 1]."""
     p = _p_taylor(order, x)
-    out = np.zeros(x.shape)
-    interior = x < 1.0
-    out[interior] = np.exp(2.0 * order.alpha * np.log1p(-x[interior])) * np.abs(p[interior]) ** 2
-    return out
+    # at x = 1, exp(2 alpha log1p(-1)) = exp(-inf) = 0 exactly
+    with np.errstate(divide="ignore"):
+        return np.exp(2.0 * order.alpha * np.log1p(-x)) * np.abs(p) ** 2
 
 
 # Largest x at which _d_scaled is used; its series is summed to full

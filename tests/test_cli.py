@@ -773,6 +773,15 @@ TRANSFORM = ["transform", "--bank", "bank.json", "--input", "signal.csv"]
          "window must be an integer multiple of step"),
         (["framelets", "--z", "1", "--grid", "64", "--eps", "nan"], {}, "eps must be finite and >= 0, got nan"),
         (["framelets", "--z", "1", "--grid", "64", "--eps", "-1"], {}, "eps must be finite and >= 0, got -1.0"),
+        # cascade options are rejected where no cascade runs
+        (["analyze", "--z", "2", "--no-fits", "--levels", "0"], {}, "levels must be an integer >= 1, got 0"),
+        (["analyze", "--z", "2", "--no-fits", "--window", "nan"], {}, "nan"),
+        (["analyze", "--z", "2", "--no-fits", "--window", "1.1", "--step", "1/3"], {},
+         "window must be an integer multiple of step"),
+        (["sweep", "--orders", "2,0", "--window", "-3"], {}, "-3.0"),
+        (["sweep", "--orders", "2,0", "--levels", "-1"], {}, "levels must be an integer >= 1, got -1"),
+        (["framelets", "--z", "1", "--grid", "64", "--levels", "0"], {}, "levels must be an integer >= 1, got 0"),
+        (["framelets", "--z", "1", "--grid", "64", "--step", "inf"], {}, "inf"),
     ],
     ids=["z-ell-token", "shift-token", "fractional-ell", "csv-row", "invalid-json",
          "json-list", "bank-without-coeffs", "bank-without-order", "coeffs-list", "one-part-value",
@@ -780,7 +789,8 @@ TRANSFORM = ["transform", "--bank", "bank.json", "--input", "signal.csv"]
          "boolean-z", "boolean-ell", "string-flag", "list-z", "null-frames-grid",
          "nan-window", "inf-window", "nan-time-half-width", "inf-time-half-width", "nan-sup-tolerance",
          "negative-sup-tolerance", "nan-time-tolerance", "nan-psi-window", "psi-window-off-step",
-         "nan-eps", "negative-eps"],
+         "nan-eps", "negative-eps", "unused-levels", "unused-nan-window", "unused-window-off-step",
+         "sweep-negative-window", "sweep-negative-levels", "framelets-unused-levels", "framelets-inf-step"],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, files, named):
     for name, text in files.items():

@@ -14,6 +14,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pseudosplines import frames
@@ -222,6 +223,74 @@ def test_lowpass_taps_for_the_cubic_spline():
     taps = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
     assert np.abs(np.asarray(c.values).real - taps).max() < 1e-14
     assert np.abs(np.asarray(c.values).imag).max() < 1e-15
+
+
+def closed_form_integral(w, nu):
+    """c(w, nu) = int_{-1/2}^{1/2} (cos^2 pi g)^w e^{-2 pi i nu g} dg
+    = Gamma(2w+1) / (4^w Gamma(w+1+nu) Gamma(w+1-nu)) for Re w > -1/2
+    (Gradshteyn and Ryzhik 3.631.9), elementwise in nu.  Where a Gamma of
+    the denominator has a pole (integer w and nu), log-gamma gives NaN and
+    1/Gamma = rgamma is 0: that tap is exactly 0."""
+    a, b = w + 1 + nu, w + 1 - nu
+    logs = scipy.special.loggamma(2 * w + 1) - w * math.log(4.0)
+    logs = logs - scipy.special.loggamma(a) - scipy.special.loggamma(b)
+    pole = np.isnan(logs)
+    assert np.all(scipy.special.rgamma(a[pole]) * scipy.special.rgamma(b[pole]) == 0)
+    return np.where(pole, 0.0, np.exp(np.where(pole, 0.0, logs)))
+
+
+def closed_form_lowpass(order, ks, n):
+    """Band 0's coefficients at ks on an n-point grid from the closed form,
+    and the sum of the moduli of their terms, the scale of its rounding.
+
+    q(x) = sum_j b_j y^{z+j} with y = cos^2 pi g = 1 - x, so
+    h0_k = sum_j b_j c(z + j, k + u) for the shift u; the grid's DFT reads
+    the aliased sum over k + m n, of which m = -2..2 is kept.
+    """
+    t = order.taylor_coefficients()
+    b = [sum(t[k] * math.comb(k, j) * (-1) ** j for k in range(j, order.ell + 1)) for j in range(order.ell + 1)]
+    taps, sizes = np.zeros(len(ks), dtype=complex), np.zeros(len(ks))
+    for m in range(-2, 3):
+        nu = ks + m * n + order.shift + 0j
+        for j, bj in enumerate(b):
+            term = bj * closed_form_integral(order.z + j, nu)
+            taps += term
+            sizes += np.abs(term)
+    return taps, sizes
+
+
+# An oracle that shares no code with build_bank: every accepted order of the
+# box of test_checks.py that meets the arctan condition and fits the
+# automatic grid.  Bands 0 and 1 (h1_k = -(-1)^k conj(h0_{1-k})) lie within
+# 1e-13 of the closed form's largest sum of term moduli, at least 1.
+@settings(deadline=None, max_examples=25)
+@given(
+    alpha=st.floats(min_value=1.0, max_value=8.0),
+    beta=st.floats(min_value=-10.0, max_value=10.0),
+    ell_fraction=st.floats(min_value=0.0, max_value=1.0),
+    shift=st.one_of(st.just(0.0), st.floats(min_value=-4.0, max_value=4.0)),
+)
+@example(alpha=1.5, beta=0.0, ell_fraction=0.0, shift=0.0)
+@example(alpha=2.0, beta=0.0, ell_fraction=1.0, shift=0.5)
+@example(alpha=3.2, beta=1.0, ell_fraction=1.0, shift=-3.25)
+@example(alpha=4.0, beta=0.0, ell_fraction=1.0, shift=2.0)
+@example(alpha=8.0, beta=-10.0, ell_fraction=1.0, shift=0.0)
+@example(alpha=1.044, beta=8.21, ell_fraction=0.0, shift=0.0)
+def test_lowpass_and_mirrored_taps_match_their_closed_form(alpha, beta, ell_fraction, shift):
+    order = PseudoSplineOrder(complex(alpha, beta), int(ell_fraction * max_ell(alpha)), shift=shift)
+    assume(lowpass_condition(order)[0])
+    try:
+        bank = frames.build_bank(order)
+    except ToleranceError as exc:
+        assert "2^18" in str(exc)
+        return
+    n = bank.grid.resolution
+    c0, c1 = bank.coeffs[0], bank.coeffs[1]
+    want0, sizes0 = closed_form_lowpass(order, c0.ks.astype(float), n)
+    mirror, sizes1 = closed_form_lowpass(order, (1 - c1.ks).astype(float), n)
+    want1 = np.where(c1.ks % 2 == 0, -1.0, 1.0) * np.conj(mirror)
+    for got, want, sizes in ((c0.values, want0, sizes0), (c1.values, want1, sizes1)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(sizes)))
 
 
 def test_highpass_taps_mirror_the_lowpass():
@@ -775,6 +844,26 @@ def test_tasks_run_on_both_threads():
     assert threading.get_ident() in ran_on and len(ran_on) == 2
 
 
+def test_a_lone_task_runs_on_the_calling_thread_without_the_worker(monkeypatch):
+    monkeypatch.setattr(frames, "_executor", None)
+    ran_on = []
+    frames._run_tasks([lambda: ran_on.append(threading.get_ident())])
+    assert ran_on == [threading.get_ident()]
+    error = ValueError("the task's own error")
+
+    def failing():
+        raise error
+
+    with pytest.raises(ValueError) as info:
+        frames._run_tasks(iter([failing]))
+    assert info.value is error
+    # a one-level round trip of one 1024-sample row is one task per direction
+    x = np.random.default_rng(19).standard_normal(1024) + 0j
+    _, _, back = frames._round_trip(BANK_32_2, x, 1)
+    assert np.abs(back - x).max() <= 1e-9
+    assert frames._executor is None
+
+
 @pytest.mark.parametrize("failing", ["calling thread", "worker"])
 def test_a_failing_task_is_raised_after_the_other_thread_has_finished(failing):
     # the first task that runs on the named thread raises; every other task
@@ -827,7 +916,9 @@ def test_a_caller_does_not_wait_on_another_callers_tasks():
     first.start()
     try:
         assert held.wait(10), "the worker did not take a task within 10 s"
-        sig = frames.PeriodicSignal(np.arange(1024.0))
+        # 4096 samples: the first level's 4 tasks go to the deque the worker
+        # is asked to drain (a lone task would not reach it)
+        sig = frames.PeriodicSignal(np.arange(4096.0))
         frames.analyze_multilevel(BANK_32_2, sig, 3)
         assert not released
     finally:
@@ -874,7 +965,8 @@ def test_concurrent_callers_share_the_worker(monkeypatch):
     # executor; every round trip must still equal the serial one
     monkeypatch.setattr(frames, "_executor", None)
     rng = np.random.default_rng(18)
-    signals = [frames.PeriodicSignal(rng.standard_normal(1024) + 0j) for _ in range(4)]
+    # 4096 samples: levels of 4 and 2 tasks, which reach the worker
+    signals = [frames.PeriodicSignal(rng.standard_normal(4096) + 0j) for _ in range(4)]
 
     def round_trip(sig):
         details, approx = frames.analyze_multilevel(BANK_32_2, sig, 3)
@@ -928,17 +1020,22 @@ def test_engine_working_memory_is_pinned():
     assert peaks[0] <= 3.75 and peaks[1] <= 2.75, peaks
 
 
+# 4096 samples: the first level is 4 blocks, so 4 tasks (a lone task runs
+# on the calling thread and would not reach the worker)
+_FOUR_TASKS = frames.PeriodicSignal(np.arange(4096.0))
+
+
 def _transform_in_child(conn):
     forgotten = frames._executor is None
-    _, approx = frames.analyze_multilevel(BANK_32_2, frames.PeriodicSignal(np.arange(64.0)), 2)
-    conn.send((forgotten, approx))
+    _, approx = frames.analyze_multilevel(BANK_32_2, _FOUR_TASKS, 2)
+    conn.send((forgotten, frames._executor is not None, approx))
     conn.close()
 
 
 def test_a_forked_child_runs_transforms_on_its_own_worker():
     # the child inherits the parent's executor but not its thread, so it
     # forgets the executor and starts its own
-    _, want = frames.analyze_multilevel(BANK_32_2, frames.PeriodicSignal(np.arange(64.0)), 2)
+    _, want = frames.analyze_multilevel(BANK_32_2, _FOUR_TASKS, 2)
     assert frames._executor is not None
     ctx = multiprocessing.get_context("fork")
     here, there = ctx.Pipe(duplex=False)
@@ -947,14 +1044,14 @@ def test_a_forked_child_runs_transforms_on_its_own_worker():
     there.close()
     try:
         assert here.poll(30), "the forked child's transform did not return within 30 s"
-        forgotten, got = here.recv()
+        forgotten, started, got = here.recv()
         child.join(30)
     finally:
         if child.is_alive():
             child.kill()
             child.join()
     assert child.exitcode == 0
-    assert forgotten and np.array_equal(got, want)
+    assert forgotten and started and np.array_equal(got, want)
 
 
 def test_multilevel_synthesis_validates_subband_shapes():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from pseudosplines.symbol import (
     PseudoSplineOrder,
     TorusGrid,
     _binomial,
+    _p_taylor,
     eval_H0,
     eval_p,
     eval_q,
@@ -211,6 +213,44 @@ def test_q_boundary_values():
         order = PseudoSplineOrder(z, ell)
         assert eval_q(order, 0.0) == pytest.approx(1.0, abs=1e-14)
         assert abs(eval_q(order, 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("z, ell", [(1.0, 0), (2.5, 1), (3.2 + 1.0j, 2), (4.2, 3), (6.0 - 4.0j, 1)])
+def test_the_symbol_vanishes_exactly_where_x_is_one_without_warnings(z, ell):
+    # x = sin^2(pi gamma) = 1 at gamma = +-1/2, +-3/2, where log1p(-x) = -inf
+    order = PseudoSplineOrder(z, ell)
+    gammas = [0.5, -0.5, 1.5, -1.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for g in gammas:
+            assert eval_H0(order, g) == 0.0
+        assert eval_q(order, 1.0) == 0.0
+        assert np.array_equal(eval_H0(order, np.array(gammas + [0.0])), [0, 0, 0, 0, 1])
+        assert np.array_equal(eval_q(order, np.array([1.0, 0.0, 1.0])), [0, 1, 0])
+
+
+def q_gather_scatter(order, x):
+    """q evaluated only at x < 1 and scattered into zeros: the evaluation
+    that the one-pass symbol._q replaced, which must agree with it bit for bit."""
+    p = _p_taylor(order, x)
+    out = np.zeros(x.shape, dtype=complex)
+    interior = x < 1.0
+    out[interior] = np.exp(order.z * np.log1p(-x[interior])) * p[interior]
+    return out
+
+
+@pytest.mark.parametrize(
+    "z, ell, shift", [(1.0, 0, 0.0), (1.5, 1, 0.0), (3.2 + 1.0j, 3, 0.0), (4.2, 3, 0.0), (2.0, 1, 0.5), (8.0 - 10.0j, 7, 0.0)]
+)
+def test_torus_samples_equal_the_gather_scatter_evaluation_bit_for_bit(z, ell, shift):
+    order = PseudoSplineOrder(z, ell, shift)
+    grid = TorusGrid(1024)
+    x = np.sin(np.pi * grid.gamma) ** 2
+    assert x[0] == 1.0  # the grid holds gamma = -1/2
+    want = q_gather_scatter(order, x)
+    if shift != 0.0:
+        want = want * np.exp(-2j * np.pi * shift * grid.gamma)
+    assert sample_H0(order, grid).values.tobytes() == want.tobytes()
 
 
 def test_q_taylor_flatness_near_zero():
