@@ -10,9 +10,10 @@ speedup contract allows.
 The reference in data/golden_cascade.json holds the sha256 of every file
 written by the CASCADE_RUNS commands: the `cascade` command for a real, a
 large-ell and a shifted order (the figures only run z = 3.2+1i), the default
-`sweep --with-fits`, whose report holds 16 cascade-based fits, and `analyze`
-for (5, 4), whose zero is too flat for the zero-order fit.  They must match
-exactly.
+`sweep --with-fits`, whose report holds 16 cascade-based fits, `analyze`
+for (5, 4), whose zero is too flat for the zero-order fit, and `filter
+--bands 0,1,2,3` for (3.2+1i, 2) and the shifted (2, 1, u=0.5), as the
+figures write band 0 only.  They must match exactly.
 
 A change that moves a value past these limits regenerates the references with
     PYTHONPATH=src python tests/test_golden.py
@@ -45,6 +46,8 @@ CASCADE_RUNS = {
     "cascade_2_1_u0.5": ["cascade", "--z", "2", "--ell", "1", "--shift", "0.5"],
     "sweep_with_fits": ["sweep", "--with-fits"],
     "analyze_5_4": ["analyze", "--z", "5", "--ell", "4"],
+    "filter_3.2+1i_2_bands": ["filter", "--z", "3.2+1i", "--ell", "2", "--bands", "0,1,2,3"],
+    "filter_2_1_u0.5_bands": ["filter", "--z", "2", "--ell", "1", "--shift", "0.5", "--bands", "0,1,2,3"],
 }
 
 
