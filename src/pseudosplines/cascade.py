@@ -122,25 +122,20 @@ def _positive(x: float) -> bool:
     return math.isfinite(x) and x > 0.0
 
 
-def _grid(window: float, step: float) -> np.ndarray:
+def _cascade_grid(levels: int, window: float, step: float, sup_tolerance: float = 0.0) -> np.ndarray:
+    """The frequency grid of run_cascade, after its checks of its options.
+    Callers that may skip the cascade call it to reject them anyway."""
+    if not isinstance(levels, (int, np.integer)) or levels < 1:
+        raise DomainError(f"levels must be an integer >= 1, got {levels!r}")
     if not (_positive(window) and _positive(step)):
         raise WindowError(f"window and step must be finite and positive, got {window!r}, {step!r}")
     ratio = window / step
     m = int(round(ratio))
     if m < 1 or abs(ratio - m) > 1e-9:
-        raise ResolutionError(
-            f"window must be an integer multiple of step, got window/step = {ratio!r}"
-        )
+        raise ResolutionError(f"window must be an integer multiple of step, got window/step = {ratio!r}")
+    if not (math.isfinite(sup_tolerance) and sup_tolerance >= 0.0):
+        raise DomainError(f"sup_tolerance must be finite and >= 0, got {sup_tolerance!r}")
     return (np.arange(2 * m + 1) - m) * step
-
-
-def _cascade_grid(levels: int, window: float, step: float) -> np.ndarray:
-    """The frequency grid of a run of `levels` levels: a count below 1 raises
-    DomainError, and a window or step that makes no grid _grid's errors.
-    Callers that may skip the cascade call it to reject its options anyway."""
-    if not isinstance(levels, (int, np.integer)) or levels < 1:
-        raise DomainError(f"levels must be an integer >= 1, got {levels!r}")
-    return _grid(window, step)
 
 
 def _prefix(half: np.ndarray, bound: float, step: float) -> int:
@@ -187,9 +182,7 @@ def run_cascade(
     mirrored full-length samples, so values and diagnostics are bit for bit
     those of the full-grid iteration.
     """
-    g = _cascade_grid(levels, window, step)
-    if not (math.isfinite(sup_tolerance) and sup_tolerance >= 0.0):
-        raise DomainError(f"sup_tolerance must be finite and >= 0, got {sup_tolerance!r}")
+    g = _cascade_grid(levels, window, step, sup_tolerance)
     half = g[(len(g) - 1) // 2 :]
     extent = float(half[-1])
     base = order.unshifted
@@ -275,6 +268,14 @@ def _uniform_step(x: np.ndarray, name: str) -> float:
     return step
 
 
+def _period(freq_step: float, time_step: float) -> int:
+    """P = 1/(freq_step * time_step), else GridCompatibilityError unless it is an integer within 1e-9."""
+    ratio = 1.0 / (freq_step * time_step)
+    if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+        raise GridCompatibilityError(f"1/(frequency step * time step) must be an integer, got {ratio!r}")
+    return round(ratio)
+
+
 def fourier_to_time(gammas: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Inverse Fourier trapezoid sum: f(t) = sum_k w_k v_k exp(2 pi i gamma_k t) dgamma.
 
@@ -298,12 +299,7 @@ def fourier_to_time(gammas: np.ndarray, values: np.ndarray, ts: np.ndarray) -> n
     step = _uniform_step(gammas, "frequency grid")
     # a single time sample has any spacing; 1/step makes P = 1
     dt = _uniform_step(ts, "time grid") if len(ts) > 1 else 1.0 / step
-    ratio = 1.0 / (step * dt)
-    period = int(round(ratio))
-    if period < 1 or abs(ratio - period) > 1e-9:
-        raise GridCompatibilityError(
-            f"1/(frequency step * time step) must be an integer, got {ratio!r}"
-        )
+    period = _period(step, dt)
     w = np.ones(len(gammas))
     w[0] = 0.5
     w[-1] = 0.5
@@ -335,6 +331,17 @@ def _tail_estimate(profile: Profile) -> float:
     return 2.0 * c_est * (1.0 + profile.half_width) ** (-margin) / margin
 
 
+def _time_checks(freq_step: float, half_width: float | None, step: float, tolerance: float) -> None:
+    """to_time_domain's checks of its options on a cascade of frequency step
+    freq_step; a half width of None is not checked.  Callers that may skip
+    the time stage call this to reject the options anyway."""
+    if not ((half_width is None or _positive(half_width)) and _positive(step)):
+        raise WindowError(f"half_width and step must be finite and positive, got {half_width!r}, {step!r}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    _period(freq_step, step)
+
+
 def to_time_domain(
     profile: Profile,
     half_width: float = 4.0,
@@ -351,12 +358,9 @@ def to_time_domain(
     `tolerance`, otherwise a ToleranceError asks for a wider window; a
     negative or non-finite tolerance raises DomainError.
     1/(profile.step * step) must be an integer (1/64 and 1/32 give 2048),
-    otherwise fourier_to_time raises GridCompatibilityError.
+    otherwise GridCompatibilityError, raised before the tail is estimated.
     """
-    if not (_positive(half_width) and _positive(step)):
-        raise WindowError(f"half_width and step must be finite and positive, got {half_width!r}, {step!r}")
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    _time_checks(profile.step, half_width, step, tolerance)
     tail = _tail_estimate(profile)
     if tail > tolerance:
         raise ToleranceError(

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import frames
 from .analysis import full_report
-from .cascade import _cascade_grid, run_cascade, to_time_domain
+from .cascade import _cascade_grid, _time_checks, run_cascade, to_time_domain
 from .checks import run_all
 from .errors import (
     ConditionError,
@@ -150,15 +150,16 @@ def cmd_filter(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
     grid = TorusGrid(ns.grid)
     bands = _parse_bands(ns.bands)
-    symbols = {0: sample_H0(order, grid)} if bands == [0] else frames.sample_bank(order, grid)
+    symbols = (sample_H0(order, grid),) if bands == [0] else frames.sample_bank(order, grid)
     for band in bands:
-        _write_series(ns, f"filter_h{band}", "gamma", grid.gamma, symbols[band].values)
+        _write_series(ns, f"filter_h{band}", "gamma", grid.gamma, symbols[band])
     return 0
 
 
 def cmd_cascade(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
-    step = _to_step(ns.step)
+    step, dt = _to_step(ns.step), _to_step(ns.dt)
+    _time_checks(step, ns.time_half_width, dt, ns.time_tolerance)  # whether or not the time stage runs
     profile, diag = run_cascade(
         order,
         levels=ns.levels,
@@ -173,12 +174,7 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
     _emit(diag_path)
     sys.stdout.write(f"converged={diag.converged} level={diag.converged_level}\n")
     if ns.time_half_width is not None:
-        tp = to_time_domain(
-            profile,
-            half_width=ns.time_half_width,
-            step=_to_step(ns.dt),
-            tolerance=ns.time_tolerance,
-        )
+        tp = to_time_domain(profile, half_width=ns.time_half_width, step=dt, tolerance=ns.time_tolerance)
         _write_series(ns, "cascade_phi_time", "t", tp.points, tp.values)
         sys.stdout.write(f"tail_estimate={format_float(tp.tail_estimate)}\n")
     return 0
@@ -186,8 +182,12 @@ def cmd_cascade(ns: argparse.Namespace) -> int:
 
 def cmd_framelets(ns: argparse.Namespace) -> int:
     order = _order_from_args(ns)
-    step = _to_step(ns.step)
-    _cascade_grid(ns.levels, ns.window, step)
+    step, dt = _to_step(ns.step), _to_step(ns.dt)
+    # every stage's options are checked, whether or not the stage runs
+    _cascade_grid(ns.levels, ns.window, step, ns.sup_tolerance)
+    _cascade_grid(ns.levels, ns.psi_window / 2.0, step / 2.0)
+    _time_checks(step, ns.time_half_width, dt, ns.time_tolerance)
+    frames._points_per_unit(dt)
     bank = frames.build_bank(order, TorusGrid(ns.grid), truncation_eps=ns.eps)
     outdir = _outdir(ns)
     bank_path = os.path.join(outdir, "bank.json")
@@ -210,12 +210,7 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
             _write_series(ns, f"framelet_psihat_n{n}", "gamma", psi_hat.points, psi_hat.values)
     if ns.with_time:
         profile, _ = cascade(window=ns.window, step=step)
-        phi = to_time_domain(
-            profile,
-            half_width=ns.time_half_width,
-            step=_to_step(ns.dt),
-            tolerance=ns.time_tolerance,
-        )
+        phi = to_time_domain(profile, half_width=ns.time_half_width, step=dt, tolerance=ns.time_tolerance)
         for n in (1, 2, 3):
             psi = frames.framelet_time(bank, phi, n)
             _write_series(ns, f"framelet_psi_n{n}", "t", psi.points, psi.values)

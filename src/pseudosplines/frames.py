@@ -61,7 +61,6 @@ from .cascade import Profile
 from .symbol import (
     _D_SERIES_LIMIT,
     PseudoSplineOrder,
-    SampledSymbol,
     TorusGrid,
     _abs_q_squared,
     _as_array,
@@ -273,8 +272,8 @@ def uep_errors(bank: FrameletBank) -> tuple[float, float]:
     return float(np.max(np.abs(diag - 1.0))), float(np.max(np.abs(off)))
 
 
-def sample_bank(order: PseudoSplineOrder, grid: TorusGrid) -> tuple[SampledSymbol, ...]:
-    """H0..H3 sampled on the grid.
+def sample_bank(order: PseudoSplineOrder, grid: TorusGrid) -> tuple[np.ndarray, ...]:
+    """H0..H3 on the grid, as four complex arrays of length N.
 
     Orders off the arctan lowpass condition raise ConditionError first
     (analysis.require_frame), and a partition above 1 raises
@@ -285,8 +284,7 @@ def sample_bank(order: PseudoSplineOrder, grid: TorusGrid) -> tuple[SampledSymbo
     """
     require_frame(order)
     h0 = sample_H0(order, grid)
-    highs = _high_bands(order, grid.gamma, h0.half_shifted())
-    return (h0, *(SampledSymbol(order, grid, h) for h in highs))
+    return (h0, *_high_bands(order, grid.gamma, np.roll(h0, -(grid.resolution // 2))))
 
 
 def _high_bands(order: PseudoSplineOrder, x: np.ndarray, h0_half: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -367,6 +365,15 @@ def framelet_hat(profile: Profile, n: int) -> Profile:
     return Profile(profile.order, 2.0 * profile.half_width, 2.0 * profile.step, highs[n - 1] * profile.values)
 
 
+def _points_per_unit(step: float) -> int:
+    """1/step for framelet_time's time step, else GridCompatibilityError
+    unless it is an even integer within 1e-9."""
+    q = 1.0 / step
+    if abs(q - round(q)) > 1e-9 or int(round(q)) % 2 != 0:
+        raise GridCompatibilityError(f"time step {step!r} must be the reciprocal of an even integer")
+    return int(round(q))
+
+
 def framelet_time(bank: FrameletBank, phi: Profile, n: int) -> Profile:
     """psi_n on phi's time grid via psi_n(t) = 2 sum_k c_{k,n} phi(2t + k).
 
@@ -377,12 +384,7 @@ def framelet_time(bank: FrameletBank, phi: Profile, n: int) -> Profile:
     """
     if n not in (1, 2, 3):
         raise DomainError(f"framelet index must be 1, 2 or 3, got {n!r}")
-    q = 1.0 / phi.step
-    if abs(q - round(q)) > 1e-9 or int(round(q)) % 2 != 0:
-        raise GridCompatibilityError(
-            f"time step {phi.step!r} must be the reciprocal of an even integer"
-        )
-    q = int(round(q))
+    q = _points_per_unit(phi.step)
     coeffs = bank.coeffs[n]
     vals = phi.values
     npts = len(vals)

@@ -38,7 +38,6 @@ from .errors import DomainError, OrderError, ResolutionError
 __all__ = [
     "PseudoSplineOrder",
     "TorusGrid",
-    "SampledSymbol",
     "max_ell",
     "eval_p",
     "eval_q",
@@ -203,32 +202,6 @@ class TorusGrid:
         return cached
 
 
-@dataclass(frozen=True)
-class SampledSymbol:
-    """Complex samples of a 1-periodic filter on a TorusGrid."""
-
-    order: PseudoSplineOrder
-    grid: TorusGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.resolution,):
-            raise ResolutionError(
-                f"sample array has shape {v.shape}, expected ({self.grid.resolution},)"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.grid.resolution
-
-    def half_shifted(self) -> np.ndarray:
-        """Samples of gamma -> value(gamma + 1/2), realized as an index roll."""
-        return np.roll(self.values, -(self.grid.resolution // 2))
-
-
 def _as_array(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
@@ -379,15 +352,15 @@ def eval_H0(order: PseudoSplineOrder, gamma):
     return complex(out[()]) if scalar else out
 
 
-def sample_H0(order: PseudoSplineOrder, grid: TorusGrid) -> SampledSymbol:
-    """Pointwise eval_H0 over the grid."""
-    return SampledSymbol(order, grid, eval_H0(order, grid.gamma))
+def sample_H0(order: PseudoSplineOrder, grid: TorusGrid) -> np.ndarray:
+    """H0 at the grid points, as a complex array of length N."""
+    return eval_H0(order, grid.gamma)
 
 
-def partition_values(symbol: SampledSymbol) -> np.ndarray:
-    """Grid partition function via the exact index half-shift."""
-    v = symbol.values
-    return np.abs(v) ** 2 + np.abs(symbol.half_shifted()) ** 2
+def partition_values(h0: np.ndarray) -> np.ndarray:
+    """|H0(gamma)|^2 + |H0(gamma + 1/2)|^2 from the array of H0 on a
+    TorusGrid; the half-period shift is the exact index roll by N/2."""
+    return np.abs(h0) ** 2 + np.abs(np.roll(h0, -(len(h0) // 2))) ** 2
 
 
 def theta_bound(order: PseudoSplineOrder) -> float:

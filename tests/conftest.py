@@ -5,7 +5,7 @@ the criterion it checks; a terminal-summary hook prints one PASS/FAIL line
 per criterion so the gate's verdict is readable without scrolling.  The
 envelope_conditions fixture is the grid check shared by the analysis tests
 and criterion 6.  The sample_identities and tap_identities fixtures check
-the two UEP identities, on frames.sample_bank's symbols and on a bank's
+the two UEP identities, on frames.sample_bank's arrays and on a bank's
 shipped taps.
 """
 
@@ -53,8 +53,8 @@ def envelope_conditions():
 def _sample_identities(symbols) -> tuple[float, float]:
     """(diagonal, offdiagonal): max |sum_n |H_n|^2 - 1| and
     max |sum_n H_n(gamma) conj(H_n(gamma + 1/2))| over sampled H0..H3."""
-    diag = sum(np.abs(h.values) ** 2 for h in symbols)
-    off = sum(h.values * np.conj(h.half_shifted()) for h in symbols)
+    diag = sum(np.abs(h) ** 2 for h in symbols)
+    off = sum(h * np.conj(np.roll(h, -(len(h) // 2))) for h in symbols)
     return float(np.max(np.abs(diag - 1.0))), float(np.max(np.abs(off)))
 
 

@@ -75,7 +75,7 @@ def test_filter_writes_bank_samples_without_truncating(tmp_path, capsys):
     )
     assert rc == 0, err
     order = PseudoSplineOrder(1.5, 1)
-    h1 = frames.sample_bank(order, TorusGrid(256))[1].values
+    h1 = frames.sample_bank(order, TorusGrid(256))[1]
     assert np.array_equal(read_samples_csv(tmp_path / "filter_h1.csv")[1], h1)
 
 
@@ -105,7 +105,7 @@ def test_orders_within_the_partition_bound_build_their_banks(tmp_path, capsys, t
     bank = frames.build_bank(order, TorusGrid(8192))
     # bands 0 and 2 are cut from these samples, and 1 and 3 derived from them
     for band in (0, 2):
-        cut = frames._coeffs_from_samples(band, symbols[band].values, bank.truncation_eps, "")
+        cut = frames._coeffs_from_samples(band, symbols[band], bank.truncation_eps, "")
         assert cut.offset == bank.coeffs[band].offset
         assert np.array_equal(cut.values, bank.coeffs[band].values)
     assert frames.uep_errors(bank)[1] <= 1e-13
@@ -683,8 +683,8 @@ def test_series_files_hold_the_samples_the_library_builds(tmp_path, capsys):
     profile, _ = run_cascade(order)
     phi = to_time_domain(profile, half_width=4.0, step=1 / 32)
     expected = {
-        "filter_h0": (bank.grid.gamma, symbols[0].values),
-        "filter_h1": (bank.grid.gamma, symbols[1].values),
+        "filter_h0": (bank.grid.gamma, symbols[0]),
+        "filter_h1": (bank.grid.gamma, symbols[1]),
         "cascade_phihat": (profile.points, profile.values),
         "cascade_phi_time": (phi.points, phi.values),
     }
@@ -782,6 +782,16 @@ TRANSFORM = ["transform", "--bank", "bank.json", "--input", "signal.csv"]
         (["sweep", "--orders", "2,0", "--levels", "-1"], {}, "levels must be an integer >= 1, got -1"),
         (["framelets", "--z", "1", "--grid", "64", "--levels", "0"], {}, "levels must be an integer >= 1, got 0"),
         (["framelets", "--z", "1", "--grid", "64", "--step", "inf"], {}, "inf"),
+        # so are time-domain, psi_hat and tolerance options where their stage does not run
+        (["cascade", "--z", "2", "--dt", "0.03"], {},
+         "1/(frequency step * time step) must be an integer"),
+        (["cascade", "--z", "2", "--time-tolerance", "nan"], {}, "tolerance must be finite and >= 0, got nan"),
+        (["framelets", "--z", "2", "--grid", "64", "--time-half-width", "nan"], {}, "nan"),
+        (["framelets", "--z", "2", "--grid", "64", "--dt", "0.03"], {},
+         "1/(frequency step * time step) must be an integer"),
+        (["framelets", "--z", "2", "--grid", "64", "--sup-tolerance", "nan"], {},
+         "sup_tolerance must be finite and >= 0, got nan"),
+        (["framelets", "--z", "2", "--grid", "64", "--psi-window", "nan"], {}, "nan"),
     ],
     ids=["z-ell-token", "shift-token", "fractional-ell", "csv-row", "invalid-json",
          "json-list", "bank-without-coeffs", "bank-without-order", "coeffs-list", "one-part-value",
@@ -790,7 +800,9 @@ TRANSFORM = ["transform", "--bank", "bank.json", "--input", "signal.csv"]
          "nan-window", "inf-window", "nan-time-half-width", "inf-time-half-width", "nan-sup-tolerance",
          "negative-sup-tolerance", "nan-time-tolerance", "nan-psi-window", "psi-window-off-step",
          "nan-eps", "negative-eps", "unused-levels", "unused-nan-window", "unused-window-off-step",
-         "sweep-negative-window", "sweep-negative-levels", "framelets-unused-levels", "framelets-inf-step"],
+         "sweep-negative-window", "sweep-negative-levels", "framelets-unused-levels", "framelets-inf-step",
+         "cascade-unused-dt", "cascade-unused-nan-time-tolerance", "framelets-unused-nan-time-half-width",
+         "framelets-unused-dt", "framelets-unused-nan-sup-tolerance", "framelets-unused-nan-psi-window"],
 )
 def test_malformed_input_exits_2_naming_it(tmp_path, capsys, argv, files, named):
     for name, text in files.items():

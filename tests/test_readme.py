@@ -1,7 +1,9 @@
 """The README's library quickstart runs as written and documents the public
-surface, and its command lines use only options the CLI has."""
+surface, every submodule's __all__ names what it defines, and the README's
+command lines use only options the CLI has."""
 
 import ast
+import importlib
 import pathlib
 import re
 import shlex
@@ -54,6 +56,12 @@ def test_public_surface_is_the_quickstart_plus_the_error_types():
     assert len(imported) == 14 and len(error_types) == 10
     assert sorted(pseudosplines.__all__) == sorted(imported + error_types + ["__version__"])
     assert all(hasattr(pseudosplines, name) for name in pseudosplines.__all__)
+
+
+@pytest.mark.parametrize("name", ["symbol", "cascade", "frames", "analysis", "checks", "serialize", "cli"])
+def test_every_submodule_all_entry_resolves(name):
+    module = importlib.import_module(f"pseudosplines.{name}")
+    assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
 
 
 def shell_commands() -> list[list[str]]:
