@@ -163,11 +163,11 @@ def run_frames_checks(
     defect = float(np.max(np.abs(a + d) / 2 + np.hypot((a - d) / 2, cross)))
     results.append(CheckResult("discrete_parseval", defect, max(1e-8, 10.0 * truncation_eps)))
 
-    # the engine against the same taps: one seeded signal comes back within
-    # the defect, plus rounding
+    # the public analyze/synthesize pair against the same taps: one seeded
+    # signal comes back within the defect, plus rounding
     real, imag = np.random.default_rng(seed).standard_normal((2, n))
     x = real + 1j * imag
-    _, _, back = frames._round_trip(bank, x, 1)
+    back = frames.synthesize(bank, frames.analyze(bank, frames.PeriodicSignal(x))).samples
     error = float(np.linalg.norm(back - x) / np.linalg.norm(x))
     results.append(CheckResult("perfect_reconstruction", error, defect + 1e-13))
     return results, bank.grid.resolution

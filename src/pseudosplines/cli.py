@@ -197,8 +197,7 @@ def cmd_framelets(ns: argparse.Namespace) -> int:
         c = bank.coeffs[band]
         sys.stdout.write(
             f"band {band}: support_radius={c.support_radius} "
-            f"tail_norm={format_float(c.tail_norm)} "
-            f"aliasing={format_float(c.aliasing_estimate)}\n"
+            f"tail_norm={format_float(c.tail_norm)}\n"
         )
     if ns.with_hats or ns.with_time:
         cascade = functools.partial(run_cascade, order, levels=ns.levels, sup_tolerance=ns.sup_tolerance)
@@ -235,7 +234,9 @@ def cmd_transform(ns: argparse.Namespace) -> int:
     for stem, values in series.items():
         _write_series(ns, stem, "index", np.arange(len(values)), values)
     if ns.roundtrip:
-        err = float(np.linalg.norm(series["reconstruction"] - signal.samples) / np.linalg.norm(signal.samples))
+        # relative to the input's norm; a zero input reports the absolute error
+        err = float(np.linalg.norm(series["reconstruction"] - signal.samples))
+        err /= float(np.linalg.norm(signal.samples)) or 1.0
         sys.stdout.write(f"roundtrip_relative_error={format_float(err)}\n")
     sys.stdout.write(f"input_energy={format_float(signal.energy())}\n")
     return 0

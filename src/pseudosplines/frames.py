@@ -175,7 +175,6 @@ class FilterCoefficients:
     values: np.ndarray
     tail_norm: float
     tail_l1: float
-    aliasing_estimate: float
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=complex).copy()
@@ -201,8 +200,7 @@ class FilterCoefficients:
 
 
 def _coeffs_from_samples(band: int, values: np.ndarray, eps: float, remedy: str) -> FilterCoefficients:
-    """Taps of one band's N samples within |k| <= N // 4, the cut past which
-    aliasing_estimate measures the coefficient mass; `remedy` ends the
+    """Taps of one band's N samples within |k| <= N // 4; `remedy` ends the
     ToleranceError when no radius meets eps.  tail_norm and tail_l1 are the
     l2 and l1 norms of the dropped sampled coefficients."""
     n = len(values)
@@ -235,13 +233,11 @@ def _coeffs_from_samples(band: int, values: np.ndarray, eps: float, remedy: str)
     ):
         radius += 1
     keep = np.abs(ks) <= radius
-    aliasing = float(math.sqrt(np.sum(mass[np.abs(ks) > cap])))
     return FilterCoefficients(
         offset=-radius,
         values=c[keep],
         tail_norm=float(math.sqrt(tails[radius])),
         tail_l1=float(l1[radius]),
-        aliasing_estimate=aliasing,
     )
 
 
@@ -434,13 +430,14 @@ class PeriodicSignal:
 # calling thread pop them from one deque until it is empty.  A caller never
 # waits on another caller's tasks: if the worker has not started on this
 # call's deque when the caller's own pass over it ends, the caller cancels
-# the worker's pass.  A call of one task (a level of one block and one row,
-# such as verify's 1024-sample round trip) runs it on the calling thread and
-# leaves the worker asleep: waking it costs more than such a task.  The
-# executor starts at the first transform of more than one task; a forked
-# child, which inherits the executor but not its thread (and perhaps a held
-# lock), starts its own.  Once interpreter shutdown has begun (in an atexit
-# hook, say) the executor takes no work and the caller runs every task.
+# the worker's pass.  A call of one task (a level of one block, such as
+# either direction of verify's 1024-sample round trip) runs it on the
+# calling thread and leaves the worker asleep: waking it costs more than
+# such a task.  The executor starts at the first transform of more than
+# one task; a forked child, which inherits the executor but not its thread
+# (and perhaps a held lock), starts its own.  Once interpreter shutdown has
+# begun (in an atexit hook, say) the executor takes no work and the caller
+# runs every task.
 _executor = None
 _executor_lock = threading.Lock()
 
@@ -505,13 +502,13 @@ _HALF_BLOCK = 512
 # trip, as each task's Python and numpy call overhead runs on one thread at
 # a time, and tasks twice as large gained nothing
 _TASK_VALUES = 1 << 17
-# the least number of tasks _tiles cuts a row's blocks into, where it cuts
-# them and the row has that many
-_ROW_TASKS = 8
+# the least number of tasks _tiles cuts a level's blocks into, where the
+# level has that many
+_LEVEL_TASKS = 8
 
 
 class _Level(NamedTuple):
-    """How one level of n samples per row is cut into `blocks` blocks.
+    """How one level of n samples is cut into `blocks` blocks.
 
     Analysis block b's FFT reads x[(2 B b + start + t) mod n], t < length,
     and keeps the first B = half of its decimated outputs; synthesis block
@@ -571,51 +568,41 @@ def _levels(bank: FrameletBank, n: int, count: int) -> list[_Level]:
 
 
 def _windows(x: np.ndarray, first: int, count: int, step: int, length: int) -> np.ndarray:
-    """(rows, count, length) windows, window i holding x[:, (first + i step + t) mod n]:
+    """(count, length) windows, window i holding x[(first + i step + t) mod n]:
     a view of x, or of a copy of the stretch they span where it wraps."""
     stop = first + (count - 1) * step + length
-    if 0 <= first and stop <= x.shape[-1]:
-        span = x[:, first:stop]
+    if 0 <= first and stop <= len(x):
+        span = x[first:stop]
     else:
-        n, pieces = x.shape[-1], []
+        n, pieces = len(x), []
         while first < stop:
-            pieces.append(x[:, first % n : min(n, first % n + stop - first)])
-            first += pieces[-1].shape[-1]
-        span = np.concatenate(pieces, axis=-1)
-    rows, cols = span.strides
-    return as_strided(span, (len(span), count, length), (rows, step * cols, cols), writeable=False)
+            pieces.append(x[first % n : min(n, first % n + stop - first)])
+            first += len(pieces[-1])
+        span = np.concatenate(pieces)
+    (stride,) = span.strides
+    return as_strided(span, (count, length), (step * stride, stride), writeable=False)
 
 
-def _tiles(rows: int, level: _Level) -> list[tuple[slice, range]]:
-    """A level's (rows x blocks) units cut into tasks of at most _TASK_VALUES
-    scratch values each, as (rows, blocks) pairs.
-
-    A lone row, or rows of more blocks than one task holds, are cut along
-    their blocks into at least _ROW_TASKS tasks each (if they have that
-    many blocks), so that a long row's working memory stays a small share
-    of it.  Other rows are cut into whole-row tasks, at least two, one per
-    thread: short rows gain less from a finer cut than each task costs.
-    """
+def _tiles(level: _Level) -> list[range]:
+    """A level's blocks cut into tasks of at most _TASK_VALUES scratch values
+    each, and into at least _LEVEL_TASKS tasks (if it has that many blocks),
+    so that a long signal's working memory stays a small share of it."""
     per = max(1, _TASK_VALUES // (3 * level.length))
     blocks = level.blocks
-    if rows == 1 or blocks > per:
-        parts = max(-(-blocks // per), min(blocks, _ROW_TASKS))
-        cuts = [range(blocks * k // parts, blocks * (k + 1) // parts) for k in range(parts)]
-        return [(slice(r, r + 1), cut) for r in range(rows) for cut in cuts]
-    parts = max(-(-rows * blocks // per), 2)
-    return [(slice(rows * k // parts, rows * (k + 1) // parts), range(blocks)) for k in range(parts)]
+    parts = max(-(-blocks // per), min(blocks, _LEVEL_TASKS))
+    return [range(blocks * k // parts, blocks * (k + 1) // parts) for k in range(parts)]
 
 
-def _analyze_blocks(x: np.ndarray, level: _Level, taps: np.ndarray, outs: list, rows: slice, blocks: range) -> None:
+def _analyze_blocks(x: np.ndarray, level: _Level, taps: np.ndarray, outs: list, blocks: range) -> None:
     """One task of an analysis level: the blocks' FFTs, each multiplied by the
     four (conjugated, scaled) tap spectra and folded to half length, which
     keeps the even samples of the correlation, then a half-length inverse
     FFT per band of which the first B outputs go to outs.  A one-block level
     keeps all of them, so it folds straight into outs."""
     b, h, width = level.half, level.length // 2, 2 * level.half
-    spectrum = np.fft.fft(_windows(x[rows], width * blocks.start + level.start, len(blocks), width, level.length))
-    lower, upper = spectrum[..., :h], spectrum[..., h:]
-    kept = [out[rows, b * blocks.start : b * blocks.stop].reshape(lower.shape[:-1] + (b,)) for out in outs]
+    spectrum = np.fft.fft(_windows(x, width * blocks.start + level.start, len(blocks), width, level.length))
+    lower, upper = spectrum[:, :h], spectrum[:, h:]
+    kept = [out[b * blocks.start : b * blocks.stop].reshape(len(blocks), b) for out in outs]
     bands = kept if b == h else np.empty((4,) + lower.shape, dtype=complex)
     for band, s in zip(bands[:3], taps):
         np.multiply(lower, s[:h], out=band)
@@ -627,23 +614,22 @@ def _analyze_blocks(x: np.ndarray, level: _Level, taps: np.ndarray, outs: list, 
     for band, out in zip(bands, kept):
         np.fft.ifft(band, out=band)
         if band is not out:
-            out[...] = band[..., :b]
+            out[...] = band[:, :b]
 
 
-def _synthesize_blocks(subbands: list, level: _Level, taps: np.ndarray, out: np.ndarray, rows: slice, blocks: range) -> None:
+def _synthesize_blocks(subbands: list, level: _Level, taps: np.ndarray, out: np.ndarray, blocks: range) -> None:
     """One task of a synthesis level: the half-length FFTs of each block's
     stretch of the four subbands, whose spectra, repeated twice (upsampling),
     are multiplied by the (scaled) tap spectra and summed, then inverse FFTs
     of which 2B outputs go to out.  A one-block level keeps all of them, so
     it sums straight into out."""
     b, h, width = level.half, level.length // 2, 2 * level.half
-    kept = out[rows, width * blocks.start : width * blocks.stop]
-    kept = kept.reshape(len(kept), len(blocks), width)
-    spectra = np.empty((4,) + kept.shape[:-1] + (h,), dtype=complex)
+    kept = out[width * blocks.start : width * blocks.stop].reshape(len(blocks), width)
+    spectra = np.empty((4, len(blocks), h), dtype=complex)
     for spectrum, sub in zip(spectra, subbands):
-        np.fft.fft(_windows(sub[rows], b * blocks.start - level.lead, len(blocks), b, h), out=spectrum)
-    total = kept if width == level.length else np.empty(kept.shape[:-1] + (level.length,), dtype=complex)
-    lower, upper = total[..., :h], total[..., h:]
+        np.fft.fft(_windows(sub, b * blocks.start - level.lead, len(blocks), b, h), out=spectrum)
+    total = kept if width == level.length else np.empty((len(blocks), level.length), dtype=complex)
+    lower, upper = total[:, :h], total[:, h:]
     np.multiply(spectra[0], taps[0, :h], out=lower)
     np.multiply(spectra[0], taps[0, h:], out=upper)
     for spectrum, s in zip(spectra[1:], taps[1:]):
@@ -654,49 +640,7 @@ def _synthesize_blocks(subbands: list, level: _Level, taps: np.ndarray, out: np.
     np.fft.ifft(total, out=total)
     if total is not kept:
         first = 2 * level.lead - level.start
-        kept[...] = total[..., first : first + width]
-
-
-def _analysis(levels: list, samples: np.ndarray) -> tuple[list, np.ndarray]:
-    """analyze_multilevel's (details, approx) for a (..., N) batch of samples,
-    one level per entry of `levels` (from _levels).
-
-    Each level's blocks are tasks (_analyze_blocks) that write the level's
-    lowpass band and its three details, which share one array; the next
-    level reads the lowpass band once every task has finished.
-    """
-    shape = samples.shape[:-1]
-    x = samples.reshape(-1, samples.shape[-1])
-    details = []
-    for level in levels:
-        taps = np.conj(level.spectra) * (math.sqrt(2.0) / 2.0)
-        low = np.empty((len(x), x.shape[-1] // 2), dtype=complex)
-        bands = np.empty((3,) + low.shape, dtype=complex)
-        outs = [low, *bands]
-        _run_tasks(partial(_analyze_blocks, x, level, taps, outs, *tile) for tile in _tiles(len(x), level))
-        details.append([band.reshape(shape + (-1,)) for band in bands])
-        x = low
-    return details, x.reshape(shape + (-1,))
-
-
-def _synthesis(levels: list, details: list, approx: np.ndarray) -> np.ndarray:
-    """Inverse of _analysis: each level's blocks are tasks (_synthesize_blocks)
-    that read the level's four subbands and write the next finer lowpass band."""
-    shape = np.shape(approx)[:-1]
-    low = np.reshape(approx, (-1, np.shape(approx)[-1]))
-    for level, subbands in zip(reversed(levels), reversed(details)):
-        taps = level.spectra * math.sqrt(2.0)
-        bands = [low, *(np.reshape(sub, low.shape) for sub in subbands)]
-        low = np.empty((len(low), 2 * low.shape[-1]), dtype=complex)
-        _run_tasks(partial(_synthesize_blocks, bands, level, taps, low, *tile) for tile in _tiles(len(low), level))
-    return low.reshape(shape + (-1,))
-
-
-def _round_trip(bank: FrameletBank, batch: np.ndarray, levels: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """(details, approx, back) of a (..., N) batch, both directions from one plan of levels."""
-    plan = _levels(bank, batch.shape[-1], levels)
-    details, approx = _analysis(plan, batch)
-    return details, approx, _synthesis(plan, details, approx)
+        kept[...] = total[:, first : first + width]
 
 
 def analyze(bank: FrameletBank, signal: PeriodicSignal) -> list[np.ndarray]:
@@ -734,7 +678,18 @@ def analyze_multilevel(
         raise ResolutionError(
             f"signal length {signal.length} too short for {levels} levels (need >= {need})"
         )
-    return _analysis(_levels(bank, signal.length, levels), signal.samples)
+    # each level's blocks are tasks (_analyze_blocks) that write its lowpass
+    # band and its three details; the next level reads the lowpass band once
+    # every task has finished
+    x, details = signal.samples, []
+    for level in _levels(bank, signal.length, levels):
+        taps = np.conj(level.spectra) * (math.sqrt(2.0) / 2.0)
+        low = np.empty(len(x) // 2, dtype=complex)
+        bands = np.empty((3, len(low)), dtype=complex)
+        _run_tasks(partial(_analyze_blocks, x, level, taps, [low, *bands], blocks) for blocks in _tiles(level))
+        details.append(list(bands))
+        x = low
+    return details, x
 
 
 def synthesize_multilevel(
@@ -751,7 +706,14 @@ def synthesize_multilevel(
             raise GridCompatibilityError(f"each level needs three detail subbands of length {length}")
         length *= 2
     _require_length(length)
-    back = _synthesis(_levels(bank, length, len(details)), details, approx)
+    # each level's blocks are tasks (_synthesize_blocks) that read its four
+    # subbands and write the next finer lowpass band
+    back = np.asarray(approx)
+    for level, subbands in zip(reversed(_levels(bank, length, len(details))), reversed(details)):
+        taps = level.spectra * math.sqrt(2.0)
+        bands = [back, *map(np.asarray, subbands)]
+        back = np.empty(2 * len(back), dtype=complex)
+        _run_tasks(partial(_synthesize_blocks, bands, level, taps, back, blocks) for blocks in _tiles(level))
     back.setflags(write=False)
     signal = object.__new__(PeriodicSignal)
     object.__setattr__(signal, "samples", back)  # the engine's own fresh array, not copied
@@ -771,7 +733,6 @@ def bank_to_dict(bank: FrameletBank) -> dict:
                 "values": [[v.real, v.imag] for v in bank.coeffs[n].values],
                 "tail_norm": bank.coeffs[n].tail_norm,
                 "tail_l1": bank.coeffs[n].tail_l1,
-                "aliasing_estimate": bank.coeffs[n].aliasing_estimate,
             }
             for n in range(4)
         },
@@ -792,7 +753,6 @@ def bank_from_dict(d: dict) -> FrameletBank:
                 values=values,
                 tail_norm=float(entry["tail_norm"]),
                 tail_l1=float(entry["tail_l1"]),
-                aliasing_estimate=float(entry["aliasing_estimate"]),
             )
         order = order_from_dict(d["order"])
         resolution, eps = int(d["resolution"]), float(d["truncation_eps"])

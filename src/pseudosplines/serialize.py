@@ -10,7 +10,8 @@ Shapes:
     one row per sample.
   - bank JSON: {"order": {"z_re", "z_im", "ell", "u"}, "resolution", "truncation_eps",
     "coeffs": {"0".."3": {"offset", "values": [[re, im], ...],
-    "tail_norm", "tail_l1", "aliasing_estimate"}}}.
+    "tail_norm", "tail_l1"}}}; bank_from_dict ignores any other key
+    of a band, such as the "aliasing_estimate" older files carry.
 """
 
 from __future__ import annotations

@@ -82,9 +82,9 @@ def test_discrete_parseval_reads_the_exact_one_level_defect(monkeypatch, order, 
     m[:, 0, 1] = np.sum(top * np.conj(bottom), axis=0)
     m[:, 1, 0] = np.conj(m[:, 0, 1])
     assert abs(defect - np.max(np.linalg.svd(m, compute_uv=False))) <= 1e-14
-    # the dense one-level operator S - I, one engine round trip per unit vector
+    # the dense one-level operator S - I, one round trip per unit vector
     eye = np.eye(n, dtype=complex)
-    _, _, back = frames._round_trip(bank, eye, 1)
+    back = np.array([frames.synthesize(bank, frames.analyze(bank, frames.PeriodicSignal(e))).samples for e in eye])
     assert abs(defect - np.linalg.norm(back - eye, 2)) <= 1e-14
 
 
@@ -229,14 +229,13 @@ def test_a_perturbed_tap_leaves_perfect_reconstruction_passing(monkeypatch):
 
 def test_a_corrupted_engine_fails_perfect_reconstruction_alone(monkeypatch):
     # the linear spline's taps are finite, so its defect is at rounding and
-    # an engine error of 1e-12, 1e4 times below the old fixed limit, shows
-    round_trip = frames._round_trip
+    # a synthesis error of 1e-12, 1e4 times below the old fixed limit, shows
+    synthesize = frames.synthesize
 
-    def corrupted(bank, batch, levels):
-        details, approx, back = round_trip(bank, batch, levels)
-        return details, approx, back * (1.0 + 1e-12)
+    def corrupted(bank, subbands):
+        return frames.PeriodicSignal(synthesize(bank, subbands).samples * (1.0 + 1e-12))
 
-    monkeypatch.setattr(frames, "_round_trip", corrupted)
+    monkeypatch.setattr(frames, "synthesize", corrupted)
     results, _ = run_frames_checks(PseudoSplineOrder(1.0, 0))
     assert failed(results) == ["perfect_reconstruction"]
 

@@ -419,6 +419,24 @@ def test_transform_multilevel(tmp_path, capsys):
     assert (tmp_path / "subband_l3_n3.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_transform_round_trip_of_a_zero_signal_reports_the_absolute_error(tmp_path, capsys):
+    # a zero input has no norm to divide by: the error is reported as it is,
+    # with no 0/0 warning and no refusal to serialize a NaN
+    rc, _, _ = run(["framelets", "--z", "2", "--ell", "1", "--grid", "64"], tmp_path, capsys)
+    assert rc == 0
+    write_samples_csv(tmp_path / "zero.csv", "index", np.arange(64), np.zeros(64, dtype=complex))
+    rc, out, err = run(
+        ["transform", "--bank", str(tmp_path / "bank.json"), "--input", str(tmp_path / "zero.csv"), "--roundtrip"],
+        tmp_path,
+        capsys,
+    )
+    assert rc == 0, err
+    assert "roundtrip_relative_error=0.0\n" in out and "input_energy=0.0\n" in out
+    _, values = read_samples_csv(tmp_path / "reconstruction.csv")
+    assert not np.any(values)
+
+
 def test_transform_one_level_of_a_four_sample_signal(tmp_path, capsys):
     bank, signal = make_bank_and_signal(tmp_path, capsys, length=4)
     rc, out, _ = run(

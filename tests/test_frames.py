@@ -304,9 +304,7 @@ def test_highpass_taps_mirror_the_lowpass():
         assert np.array_equal(c3.ks, c2.ks + 1)
         assert np.array_equal(c3.values, c2.values)
         for derived, partner in ((c1, c0), (c3, c2)):
-            assert (derived.tail_norm, derived.tail_l1, derived.aliasing_estimate) == (
-                partner.tail_norm, partner.tail_l1, partner.aliasing_estimate
-            )
+            assert (derived.tail_norm, derived.tail_l1) == (partner.tail_norm, partner.tail_l1)
 
 
 def test_sigma_bands_live_on_even_taps():
@@ -453,7 +451,7 @@ def test_framelet_time_tail_estimate_bounds_the_dropped_taps():
     errors = {}
     for n, h in zip((1, 2, 3), frames.sample_bank(bank.order, bank.grid)[1:]):
         values = np.fft.fftshift(np.fft.fft(h)) / n_pts * (-1.0) ** ks
-        full = frames.FilterCoefficients(-n_pts // 2, values, tail_norm=0.0, tail_l1=0.0, aliasing_estimate=0.0)
+        full = frames.FilterCoefficients(-n_pts // 2, values, tail_norm=0.0, tail_l1=0.0)
         psi = frames.framelet_time(bank, phi, n)
         exact = frames.framelet_time(dataclasses.replace(bank, coeffs={**bank.coeffs, n: full}), phi, n)
         errors[n] = float(np.max(np.abs(psi.values - exact.values)))
@@ -564,6 +562,17 @@ def test_synthesize_validates_subband_shapes():
         frames.synthesize(BANK_15_0, [subs[0], subs[1], subs[2], subs[3][:16]])
 
 
+def test_synthesize_takes_list_subbands_bit_for_bit():
+    # lists convert as arrays of the same values do, complex or real
+    rng = np.random.default_rng(20)
+    for subs in (
+        [rng.standard_normal(32) + 1j * rng.standard_normal(32) for _ in range(4)],
+        [rng.standard_normal(32) for _ in range(4)],
+    ):
+        want = frames.synthesize(BANK_15_0, subs).samples
+        assert np.array_equal(frames.synthesize(BANK_15_0, [s.tolist() for s in subs]).samples, want)
+
+
 def direct_analysis(bank, x):
     """subband_n[m] = sqrt(2) sum_k conj(c_k) x[(2m + k) mod N], summed tap by tap."""
     length = len(x)
@@ -619,23 +628,6 @@ def test_multilevel_matches_the_recursive_direct_reference(length, levels):
     for level_details in reversed(details):
         want = direct_synthesis(BANK_32_2, [want, *level_details])
     assert np.linalg.norm(back - want) <= 1e-13 * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("shape", [(3, 256), (2, 2, 256), (3, 4096)])
-def test_a_batched_transform_equals_per_row_calls(shape):
-    rng = np.random.default_rng(46)
-    batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    details, approx, back = frames._round_trip(BANK_32_2, batch, 3)
-    for index in np.ndindex(shape[:-1]):
-        row_details, row_approx = frames.analyze_multilevel(
-            BANK_32_2, frames.PeriodicSignal(batch[index]), 3
-        )
-        for got_level, want_level in zip(details, row_details):
-            for got, want in zip(got_level, want_level):
-                assert np.abs(got[index] - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.abs(approx[index] - row_approx).max() <= 1e-14 * np.abs(row_approx).max()
-        row_back = frames.synthesize_multilevel(BANK_32_2, row_details, row_approx).samples
-        assert np.abs(back[index] - row_back).max() <= 1e-14 * np.abs(row_back).max()
 
 
 def folded_ffts(bank, length):
@@ -723,15 +715,16 @@ def full_fft_synthesis(spectra, details, approx):
 @pytest.mark.parametrize(
     "shape, levels",
     [((4,), 1), ((8,), 1), ((8,), 2)]
-    + [(shape, levels) for shape in ((1024,), (2**16,), (50, 1024)) for levels in range(1, 6)],
+    + [(shape, levels) for shape in ((1024,), (2**16,), (4096,)) for levels in range(1, 6)],
 )
 def test_radix2_ends_match_the_full_length_ffts(shape, levels):
     # named for the radix-2 end FFTs that the block engine replaced; the
     # contract is the same: the engine matches the full-length FFT oracles
     # BANK_32_2's 125 offsets take blocks of 2 x 512 outputs and FFTs of
-    # 1152 points, so 2^16 samples run 64 blocks at level 0 and 1024
-    # samples, like the frames check's batch, one block; BANK_15_0's 803
-    # take 2 x 1024 outputs in FFTs of 2880 points, and wrap at 1024
+    # 1152 points, so 2^16 samples run 64 blocks at level 0, 4096 samples
+    # 4, and 1024 samples, like the frames check's signal, one block;
+    # BANK_15_0's 803 take 2 x 1024 outputs in FFTs of 2880 points, and
+    # wrap at 1024
     rng = np.random.default_rng([shape[-1], levels])
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -741,7 +734,8 @@ def test_radix2_ends_match_the_full_length_ffts(shape, levels):
 
     for bank in (BANK_15_0, BANK_32_2):
         spectra = folded_ffts(bank, shape[-1])
-        details, approx, back = frames._round_trip(bank, x, levels)
+        details, approx = frames.analyze_multilevel(bank, frames.PeriodicSignal(x), levels)
+        back = frames.synthesize_multilevel(bank, details, approx).samples
         ref_details, ref_approx = full_fft_analysis(spectra, x, levels)
         for level, ref_level in zip(details, ref_details):
             assert all(close(got, want) for got, want in zip(level, ref_level))
@@ -758,9 +752,7 @@ def coefficient_bank(lo, width, seed):
         start = 0 if n == 0 else int(rng.integers(0, width))
         size = width if n == 0 else int(rng.integers(1, width - start + 1))
         values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        coeffs[n] = frames.FilterCoefficients(
-            offset=lo + start, values=values, tail_norm=0.0, tail_l1=0.0, aliasing_estimate=0.0
-        )
+        coeffs[n] = frames.FilterCoefficients(offset=lo + start, values=values, tail_norm=0.0, tail_l1=0.0)
     return frames.FrameletBank(order=PseudoSplineOrder(1.5, 0), grid=TorusGrid(64), coeffs=coeffs, truncation_eps=1e-10)
 
 
@@ -787,45 +779,42 @@ def test_tap_spectra_match_the_folded_ffts_for_any_support(log_length, width, lo
     log_length=st.integers(min_value=2, max_value=12),
     width=st.one_of(st.integers(min_value=1, max_value=300), st.sampled_from([2**k for k in range(10)])),
     lo=st.integers(min_value=-400, max_value=400),
-    batch=st.sampled_from([(), (3,), (2, 2)]),
     levels=st.integers(min_value=1, max_value=11),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@example(log_length=12, width=128, lo=-64, batch=(), levels=3, seed=0)  # pad == W, 4 blocks
-@example(log_length=12, width=256, lo=400, batch=(2, 2), levels=2, seed=1)  # pad == W, all k > 0
-@example(log_length=11, width=300, lo=-400, batch=(3,), levels=1, seed=2)  # 2 blocks, all k < 0
-@example(log_length=12, width=512, lo=-255, batch=(), levels=2, seed=3)  # B = W = 512, pad == W
-@example(log_length=2, width=300, lo=-299, batch=(3,), levels=1, seed=4)  # W > N: the taps wrap
-def test_each_level_matches_direct_correlation_for_any_support(log_length, width, lo, batch, levels, seed):
-    # the engine's levels one at a time, each against the direct oracles on
-    # its own input, and the multilevel round trip bit for bit against them
+@example(log_length=12, width=128, lo=-64, levels=3, seed=0)  # pad == W, 4 blocks
+@example(log_length=12, width=256, lo=400, levels=2, seed=1)  # pad == W, all k > 0
+@example(log_length=11, width=300, lo=-400, levels=1, seed=2)  # 2 blocks, all k < 0
+@example(log_length=12, width=512, lo=-255, levels=2, seed=3)  # B = W = 512, pad == W
+@example(log_length=2, width=300, lo=-299, levels=1, seed=4)  # W > N: the taps wrap
+def test_each_level_matches_direct_correlation_for_any_support(log_length, width, lo, levels, seed):
+    # the engine's levels one at a time, each a one-level transform of its
+    # own input (whose plan is that level of the longer signal's plan) against
+    # the direct oracles, and the multilevel round trip bit for bit against them
     bank = coefficient_bank(lo, width, seed)
     length = 2**log_length
     levels = min(levels, log_length - 1)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(batch + (length,)) + 1j * rng.standard_normal(batch + (length,))
-    details, approx, back = frames._round_trip(bank, x, levels)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    details, approx = frames.analyze_multilevel(bank, frames.PeriodicSignal(x), levels)
+    back = frames.synthesize_multilevel(bank, details, approx).samples
     sums = [bank.coeffs[n].sum_abs() for n in range(4)]
-    plan = frames._levels(bank, length, levels)
-    lows = [x]
-    for j, level in enumerate(plan):
-        (got_details,), low = frames._analysis([level], lows[-1])
+    low = x
+    for j in range(levels):
+        scale = 1e-13 * math.sqrt(2.0) * np.abs(low).max()
+        (got_details,), next_low = frames.analyze_multilevel(bank, frames.PeriodicSignal(low), 1)
         assert all(np.array_equal(a, b) for a, b in zip(got_details, details[j]))
-        for index in np.ndindex(batch):
-            scale = 1e-13 * math.sqrt(2.0) * np.abs(lows[-1][index]).max()
-            got = [low[index], *(band[index] for band in got_details)]
-            for n, want in enumerate(direct_analysis(bank, lows[-1][index])):
-                assert np.abs(got[n] - want).max() <= scale * sums[n]
-        lows.append(low)
-    assert np.array_equal(lows[-1], approx)
+        for n, (got, want) in enumerate(zip([next_low, *got_details], direct_analysis(bank, low))):
+            assert np.abs(got - want).max() <= scale * sums[n]
+        low = next_low
+    assert np.array_equal(low, approx)
     out = approx
     for j in reversed(range(levels)):
         subbands = [out, *details[j]]
-        out = frames._synthesis([plan[j]], [details[j]], subbands[0])
-        for index in np.ndindex(batch):
-            want = direct_synthesis(bank, [s[index] for s in subbands])
-            bound = 1e-13 * math.sqrt(2.0) * sum(t * np.abs(s[index]).max() for t, s in zip(sums, subbands))
-            assert np.abs(out[index] - want).max() <= bound
+        out = frames.synthesize(bank, subbands).samples
+        want = direct_synthesis(bank, subbands)
+        bound = 1e-13 * math.sqrt(2.0) * sum(t * np.abs(s).max() for t, s in zip(sums, subbands))
+        assert np.abs(out - want).max() <= bound
     assert np.array_equal(out, back)
 
 
@@ -857,9 +846,9 @@ def test_a_lone_task_runs_on_the_calling_thread_without_the_worker(monkeypatch):
     with pytest.raises(ValueError) as info:
         frames._run_tasks(iter([failing]))
     assert info.value is error
-    # a one-level round trip of one 1024-sample row is one task per direction
+    # a one-level round trip of one 1024-sample signal is one task per direction
     x = np.random.default_rng(19).standard_normal(1024) + 0j
-    _, _, back = frames._round_trip(BANK_32_2, x, 1)
+    back = frames.synthesize(BANK_32_2, frames.analyze(BANK_32_2, frames.PeriodicSignal(x))).samples
     assert np.abs(back - x).max() <= 1e-9
     assert frames._executor is None
 
@@ -993,7 +982,7 @@ def test_concurrent_callers_share_the_worker(monkeypatch):
     assert all(np.array_equal(back, want[k]) for k in range(4) for back in got[k])
 
 
-def test_engine_working_memory_is_pinned():
+def test_engine_working_memory_is_pinned(monkeypatch):
     # peaks in complex values per sample, buffers of both threads included:
     # the outputs (analysis: 1.5 N + 0.75 N + ... of details, and the last
     # level's input beside its outputs; synthesis: N of output and N/2 of
@@ -1002,14 +991,16 @@ def test_engine_working_memory_is_pinned():
     # still judged by the benchmark
     n = 2**16
     rng = np.random.default_rng(17)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    plan = frames._levels(BANK_32_2, n, 5)
+    sig = frames.PeriodicSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     peaks = []
-    # the executor is started untraced
-    details, approx = frames._analysis(plan, x)
+    # the executor is started, and the plan of levels with its tap spectra
+    # built, untraced
+    plan = frames._levels(BANK_32_2, n, 5)
+    monkeypatch.setattr(frames, "_levels", lambda bank, length, count: plan)
+    details, approx = frames.analyze_multilevel(BANK_32_2, sig, 5)
     for run in (
-        lambda: frames._analysis(plan, x),
-        lambda: frames._synthesis(plan, details, approx),
+        lambda: frames.analyze_multilevel(BANK_32_2, sig, 5),
+        lambda: frames.synthesize_multilevel(BANK_32_2, details, approx),
     ):
         tracemalloc.start()
         try:
@@ -1118,6 +1109,16 @@ def test_bank_json_round_trip_preserves_transforms():
     b = frames.analyze(loaded, sig)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+def test_a_bank_json_with_the_retired_aliasing_estimate_still_loads():
+    # bank.json files written before the entry was dropped carry it in every band
+    d = json.loads(dump_json(frames.bank_to_dict(BANK_15_0)))
+    assert not any("aliasing_estimate" in entry for entry in d["coeffs"].values())
+    old = json.loads(dump_json(d))
+    for entry in old["coeffs"].values():
+        entry["aliasing_estimate"] = 1e-3
+    assert frames.bank_to_dict(frames.bank_from_dict(old)) == d
 
 
 @pytest.mark.parametrize("z, ell", [(3.2 + 1.0j, 2), (1.5, 0)])
